@@ -15,7 +15,22 @@ g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
 plain even in N).  The engine rewrites arbitrary words to this basis by
 repeatedly exchanging the leftmost out-of-order adjacent pair; a seeded
 random-order variant (:func:`brute_force_nf`) serves as a confluence oracle
-in the test suite.  Elements are immutable and safe to share across threads.
+in the test suite.
+
+Products of elements go through a multiplication table in the manner of
+Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps a
+lazily filled map from (normal-form monomial, letter) to the normal form of
+their product at unit coefficient.  A monomial product m1*m2 folds the
+letters of m2 into m1 through that table, and each product's coefficient
+multiplies the folded result once.  A missing entry is computed by the same
+leftmost-first rewriting, which stays the definition of the normal form.
+Folding letter by letter equals rewriting the whole word only when the
+presentation is confluent; check C16 tests this on random words in the
+four built-in presentations.
+
+Elements are immutable.  The tables are the only shared mutable state:
+threads may share elements and presentations, and concurrent misses only
+compute identical entries twice.
 """
 
 from __future__ import annotations
@@ -115,6 +130,9 @@ class Presentation:
             self._validate()
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
+        # (normal-form monomial, letter) -> normal form of their product at
+        # unit coefficient; filled lazily by _mono_product
+        self._mul_table = {}
 
     # -- validation -------------------------------------------------------
 
@@ -316,6 +334,12 @@ def _collapse(pres, word):
     return tuple(mono)
 
 
+def _letters_str(pres, letters):
+    return "*".join(
+        pres.generators[g].name + ("" if s == 1 else "^-1") for g, s in letters
+    )
+
+
 def _reduce(pres, items, *, rng=None, prune=True):
     """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map."""
     acc = {}
@@ -349,7 +373,11 @@ def _reduce(pres, items, *, rng=None, prune=True):
             continue
         steps += 1
         if steps > _STEP_CAP:
-            raise RewriteLimitError("rewriting exceeded the step cap")
+            raise RewriteLimitError(
+                f"rewriting in {pres.name!r} exceeded the step cap of "
+                f"{_STEP_CAP} at a word of length {len(word)}, applying the "
+                f"rule for {_letters_str(pres, word[t : t + 2])}"
+            )
         gj, sj = word[t]
         gi, si = word[t + 1]
         lam, corr = pres._rule(gj, sj, gi, si)
@@ -437,22 +465,21 @@ class Element:
                 return self.pres._zero
             return Element(self.pres, tuple((m, k * c) for m, k in self.terms))
         self._check(other)
+        pres = self.pres
         acc = {}
-        items = []
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 c = c1 * c2
-                m = _concat(self.pres, m1, m2)
+                m = _concat(pres, m1, m2)
                 if m is _NEEDS_REWRITE:
-                    items.append((c, _expand(m1) + _expand(m2)))
+                    for mo, k in _mono_product(pres, m1, m2).items():
+                        ck = c * k
+                        c0 = acc.get(mo)
+                        acc[mo] = ck if c0 is None else c0 + ck
                 elif m is not None:
                     c0 = acc.get(m)
                     acc[m] = c if c0 is None else c0 + c
-        if items:
-            for m, c in _reduce(self.pres, items).items():
-                c0 = acc.get(m)
-                acc[m] = c if c0 is None else c0 + c
-        return self.pres._element(acc)
+        return pres._element(acc)
 
     def __rmul__(self, other):
         c = _coerce(other)
@@ -481,6 +508,11 @@ class Element:
         return self.pres is other.pres and self.terms == other.terms
 
     def __hash__(self):
+        # zero and scalar elements equal their coefficient, so hash like it
+        if not self.terms:
+            return hash(ZERO)
+        if len(self.terms) == 1 and not self.terms[0][0]:
+            return hash(self.terms[0][1])
         return hash((id(self.pres), self.terms))
 
     def __str__(self):
@@ -512,6 +544,30 @@ def _concat(pres, m1, m2):
     if e == 0:
         return m1[:-1] + m2[1:]
     return m1[:-1] + ((g1, e),) + m2[1:]
+
+
+def _mono_product(pres, m1, m2):
+    """{monomial: coefficient} normal form of m1*m2 at unit coefficient.
+
+    Folds the letters of m2 into m1 one at a time through the presentation's
+    multiplication table; a missing entry is rewritten once by _reduce.
+    """
+    table = pres._mul_table
+    cur = {m1: ONE}
+    for letter in _expand(m2):
+        nxt = {}
+        for m, k in cur.items():
+            row = table.get((m, letter))
+            if row is None:
+                acc = _reduce(pres, [(ONE, _expand(m) + (letter,))])
+                row = tuple((mo, ko) for mo, ko in acc.items() if ko)
+                table[(m, letter)] = row
+            for mo, ko in row:
+                kk = ko if k is ONE else k * ko
+                c0 = nxt.get(mo)
+                nxt[mo] = kk if c0 is None else c0 + kk
+        cur = {m: k for m, k in nxt.items() if k}
+    return cur
 
 
 def invert_quasi_unit(x):
@@ -593,14 +649,6 @@ def _display_name(name, table, prime):
     if len(name) > 1 and name.endswith("2"):
         return table.get(name[:-1], name[:-1]) + prime
     return table.get(name, name)
-
-
-def _mono_str(pres, mono):
-    parts = []
-    for g, e in mono:
-        name = pres.generators[g].name
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
 
 
 def _coeff_str(mag, has_mono, solo_positive):

@@ -104,6 +104,15 @@ class _Context:
             top += 1
         return powers[k]
 
+    def dual_pattern(self, n):
+        """check_dual_pattern of M^(2n-1) at q^(2n-1), shared by C10 and C17."""
+        return self._get(
+            ("dual_pattern", n),
+            lambda: sm.check_dual_pattern(
+                self.mat_power(2 * n - 1), q_power(2 * n - 1)
+            ),
+        )
+
     @property
     def dual_pair(self):
         def build():
@@ -326,13 +335,7 @@ def _c09_even_powers(ctx):
 
 
 def _c10_odd_power_pattern(ctx):
-    outcomes = [
-        (
-            f"n={n}",
-            sm.check_dual_pattern(ctx.mat_power(2 * n - 1), q_power(2 * n - 1)),
-        )
-        for n in range(1, ctx.max_n + 1)
-    ]
+    outcomes = [(f"n={n}", ctx.dual_pattern(n)) for n in range(1, ctx.max_n + 1)]
     status, witness = _outcome_check(outcomes)
     return status, {"max_n": ctx.max_n}, witness
 
@@ -477,12 +480,9 @@ def _c16_confluence(ctx):
 
 
 def _c17_sign_audit(ctx):
-    orderings = set()
-    for n in range(1, ctx.max_n + 1):
-        out = sm.check_dual_pattern(
-            ctx.mat_power(2 * n - 1), q_power(2 * n - 1)
-        )
-        orderings.add(out.bracket_ordering)
+    orderings = {
+        ctx.dual_pattern(n).bracket_ordering for n in range(1, ctx.max_n + 1)
+    }
     if len(orderings) != 1 or "neither" in orderings:
         return (
             "fail",

@@ -288,6 +288,12 @@ class QRational:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction and int values, so hash like them
+        if self.den == _PONE:
+            if not self.num:
+                return hash(_F0)
+            if len(self.num) == 1 and self.num[0][0] == 0:
+                return hash(self.num[0][1])
         return hash((self.num, self.den))
 
     def __str__(self):

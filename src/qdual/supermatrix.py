@@ -344,19 +344,20 @@ def check_dual_pattern(mat, p):
     """
     a, b, c, d = mat.e11, mat.e12, mat.e21, mat.e22
     pi = p.inv()
+    ad, da = a * d, d * a
     base = [
         _rel("A*B = p^-1*B*A", a * b - pi * (b * a)),
         _rel("A*C = p^-1*C*A", a * c - pi * (c * a)),
         _rel("D*B = p^-1*B*D", d * b - pi * (b * d)),
         _rel("D*C = p^-1*C*D", d * c - pi * (c * d)),
-        _rel("A*D + D*A = 0", a * d + d * a),
+        _rel("A*D + D*A = 0", ad + da),
         _rel("A*A = 0", a * a),
         _rel("D*D = 0", d * d),
     ]
     bracket = b * c - c * b
     coeff = p - pi
-    r_da = _rel("B*C - C*B = (p - p^-1)*D*A", bracket - coeff * (d * a))
-    r_ad = _rel("B*C - C*B = (p - p^-1)*A*D", bracket - coeff * (a * d))
+    r_da = _rel("B*C - C*B = (p - p^-1)*D*A", bracket - coeff * da)
+    r_ad = _rel("B*C - C*B = (p - p^-1)*A*D", bracket - coeff * ad)
     if r_da.holds and r_ad.holds:
         ordering = "both"
     elif r_da.holds:

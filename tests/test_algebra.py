@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from qdual import algebra
 from qdual.algebra import (
     AlgebraError,
     AlgebraMismatchError,
@@ -18,6 +19,7 @@ from qdual.algebra import (
     ODD,
     Presentation,
     PresentationError,
+    RewriteLimitError,
     UnderivedInverseError,
     invert_quasi_unit,
     is_central,
@@ -32,7 +34,7 @@ from qdual.presentations import (
     superplane,
     tensor,
 )
-from qdual.qfield import ONE, Q, q_power
+from qdual.qfield import ONE, Q, q_power, scalar
 
 from helpers import random_element, random_word
 
@@ -229,6 +231,60 @@ def test_associativity_fuzz():
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
             assert (x + y) * z == x * z + y * z
+
+
+def _whole_word_product(x, y):
+    # the product as one rewrite of each concatenated word, bypassing the
+    # multiplication table
+    pres = x.pres
+    acc = pres.zero()
+    for m1, c1 in x.terms:
+        for m2, c2 in y.terms:
+            acc = acc + pres.normal_form(m1 + m2, c1 * c2)
+    return acc
+
+
+def test_table_products_match_whole_word_rewriting_fuzz():
+    rng = random.Random(31337)
+    presentations = (
+        derive_inverse_rules(DUAL),
+        gl_algebra(),
+        tensor(DDUAL, superplane()),
+        tensor(DDUAL, rename(DDUAL, "2"), name="dualxdual"),
+    )
+    for pres in presentations:
+        for _ in range(40):
+            x = random_element(pres, rng, n_words=3, max_len=4)
+            y = random_element(pres, rng, n_words=3, max_len=4)
+            want = _whole_word_product(x, y)
+            assert x * y == want
+            assert x * y == want  # again, from a filled table
+        assert pres._mul_table
+
+
+def test_scalar_elements_hash_like_their_coefficient():
+    assert DDUAL.one() == 1 and hash(DDUAL.one()) == hash(1)
+    assert DDUAL.zero() == 0 and hash(DDUAL.zero()) == hash(0)
+    half = DDUAL.scalar(scalar(1) / 2)
+    assert half == scalar(1) / 2 and hash(half) == hash(scalar(1) / 2)
+    assert DDUAL.scalar(Q) == Q and hash(DDUAL.scalar(Q)) == hash(Q)
+    b = DDUAL.gen("b")
+    assert hash(b * DDUAL.gen("b", -1)) == hash(1)
+    assert len({DDUAL.one(), 1, scalar(1)}) == 1
+
+
+def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
+    monkeypatch.setattr(algebra, "_STEP_CAP", 0)
+    with pytest.raises(RewriteLimitError) as err:
+        DDUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
+    assert str(err.value) == (
+        "rewriting in 'dual' exceeded the step cap of 0 at a word of "
+        "length 3, applying the rule for c*b^-1"
+    )
+    # a table miss inside a product rewrites through the same capped engine
+    fresh = derive_inverse_rules(DUAL)
+    with pytest.raises(RewriteLimitError, match=r"length 4, .* rule for c\*b$"):
+        fresh.gen("c", 3) * fresh.gen("b", 3)
 
 
 def test_normal_form_is_idempotent_fuzz():

@@ -1,6 +1,7 @@
 """The qdual command-line interface, driven through main(argv)."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -180,3 +181,15 @@ def test_cli_round_trip_small_fuzz(capsys):
         code, out, _ = run(capsys, "nf", "--", str(x))
         assert code == 0
         assert parse_element(out.strip(), DDUAL) == x
+
+
+def test_verify_machine_output_matches_the_recorded_run(capsys):
+    # recorded from `qdual verify --max-n 6 --format machine` before Element
+    # products went through the multiplication table
+    golden = Path(__file__).parent / "data" / "verify_n6_seed1729.txt"
+    code, out, err = run(
+        capsys, "verify", "--max-n", "6", "--format", "machine",
+        "--seed", "1729",
+    )
+    assert code == 0 and err == ""
+    assert out == golden.read_text(encoding="utf-8")

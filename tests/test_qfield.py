@@ -29,6 +29,14 @@ def test_canonical_form_cancels():
     assert ((Q - ONE) * (Q + ONE) - (Q * Q - ONE)).is_zero
 
 
+def test_constants_hash_like_their_fraction():
+    for v in (0, 1, -3, Fraction(1, 2), Fraction(-7, 3)):
+        assert scalar(v) == v
+        assert hash(scalar(v)) == hash(Fraction(v)) == hash(v)
+    assert hash(ONE - ONE) == hash(0)
+    assert hash(Q / Q) == hash(1)
+
+
 def test_str_renderings():
     assert str(Q) == "q"
     assert str(ONE) == "1"

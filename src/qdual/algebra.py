@@ -20,7 +20,9 @@ in the test suite.
 Products of elements go through a multiplication table in the manner of
 Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps a
 lazily filled map from (normal-form monomial, letter) to the normal form of
-their product at unit coefficient.  A monomial product m1*m2 folds the
+their product at unit coefficient.  The built-in presentations and their
+constructions are memoised (see :mod:`qdual.presentations`), so there is
+one table per presentation and it lives for the whole process.  A monomial product m1*m2 folds the
 letters of m2 into m1 through that table, and each product's coefficient
 multiplies the folded result once.  A missing entry is computed by the same
 leftmost-first rewriting, which stays the definition of the normal form.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .qfield import ONE, QRational, ZERO, _coerce
+from .qfield import ONE, QRational, ZERO, _PONE, _coerce, _pstr
 
 EVEN = 0
 ODD = 1
@@ -654,8 +656,6 @@ def _display_name(name, table, prime):
 def _coeff_str(mag, has_mono, solo_positive):
     # mag has a positive leading numerator coefficient; the caller renders
     # the sign.  Output must reparse as one factor when followed by "*".
-    from .qfield import _PONE, _pstr
-
     if has_mono and mag.is_one:
         return None
     if mag.den == _PONE:
@@ -683,14 +683,10 @@ def render_element(x, style="ascii"):
 
 
 def _latex_poly(p):
-    from .qfield import _pstr
-
     return re.sub(r"\^(-?\d+)", r"^{\1}", _pstr(p)).replace("*", " ")
 
 
 def _latex_coeff(mag, has_mono):
-    from .qfield import _PONE
-
     if has_mono and mag.is_one:
         return None
     if mag.den == _PONE:

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 from . import supermatrix as sm
-from .algebra import render_element
+from .algebra import invert_quasi_unit, render_element
 from .presentations import (
     derive_inverse_rules,
     dual_algebra,
@@ -59,74 +59,45 @@ class CheckReport:
             raise ValueError("failing check must carry a witness")
 
 
+def _dual():
+    return derive_inverse_rules(dual_algebra())
+
+
 class _Context:
-    """Lazily built algebra objects shared by the checks of one run."""
+    """Generator matrices and their powers, shared by the checks of one run."""
 
     def __init__(self, max_n, seed):
         self.max_n = max_n
         self.seed = seed
-        self._cache = {}
+        self.mat = sm.dual_generator_matrix(_dual())
+        self.gl_mat = sm.gl_generator_matrix(gl_algebra())
+        self._powers = {}
+        self._patterns = {}
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def dual(self):
-        return self._get("dual", lambda: derive_inverse_rules(dual_algebra()))
-
-    @property
-    def gl(self):
-        return self._get("gl", gl_algebra)
-
-    @property
-    def mat(self):
-        return self._get("mat", lambda: sm.dual_generator_matrix(self.dual))
-
-    @property
-    def gl_mat(self):
-        return self._get("gl_mat", lambda: sm.gl_generator_matrix(self.gl))
-
-    def mat_power(self, k):
-        powers = self._get("mat_powers", lambda: {1: self.mat})
-        top = max(powers)
-        while top < k:
-            powers[top + 1] = sm.matmul(powers[top], self.mat)
-            top += 1
-        return powers[k]
-
-    def gl_mat_power(self, k):
-        powers = self._get("gl_powers", lambda: {1: self.gl_mat})
-        top = max(powers)
-        while top < k:
-            powers[top + 1] = sm.matmul(powers[top], self.gl_mat)
-            top += 1
-        return powers[k]
+    def power(self, m, k):
+        """m^k for m one of the generator matrices, from cached lower powers."""
+        powers = self._powers.setdefault(m, [m])  # powers[i] is m^(i + 1)
+        while len(powers) < k:
+            powers.append(sm.matmul(powers[-1], m))
+        return powers[k - 1]
 
     def dual_pattern(self, n):
         """check_dual_pattern of M^(2n-1) at q^(2n-1), shared by C10 and C17."""
-        return self._get(
-            ("dual_pattern", n),
-            lambda: sm.check_dual_pattern(
-                self.mat_power(2 * n - 1), q_power(2 * n - 1)
-            ),
+        if n not in self._patterns:
+            self._patterns[n] = sm.check_dual_pattern(
+                self.power(self.mat, 2 * n - 1), q_power(2 * n - 1)
+            )
+        return self._patterns[n]
+
+
+def _entry_residuals(label, got, want):
+    """(label.slot, residual) pairs for the four entries of got - want."""
+    return [
+        (f"{label}.{slot}", x - y)
+        for slot, x, y in zip(
+            ("e11", "e12", "e21", "e22"), got.entries, want.entries
         )
-
-    @property
-    def dual_pair(self):
-        def build():
-            return tensor(self.dual, rename(self.dual, "2"), name="dualxdual")
-
-        return self._get("dual_pair", build)
-
-    def plane_tensor(self, entries, plane):
-        makers = {"plane": superplane, "dualplane": dual_superplane}
-        base = {"gl": self.gl, "dual": self.dual}
-        key = (entries, plane)
-        return self._get(
-            key, lambda: tensor(base[entries], makers[plane]())
-        )
+    ]
 
 
 def _residual_check(pairs):
@@ -181,7 +152,7 @@ def _c01_dual_axioms(ctx):
 
 
 def _c02_inverse_relations(ctx):
-    p = ctx.dual
+    p = _dual()
     al, de, b, c = (p.gen(x) for x in ("alpha", "delta", "b", "c"))
     bi, ci = p.gen("b", -1), p.gen("c", -1)
     pairs = [
@@ -202,7 +173,7 @@ def _c02_inverse_relations(ctx):
 
 
 def _c03_delta_commutation(ctx):
-    p = ctx.dual
+    p = _dual()
     al, de = p.gen("alpha"), p.gen("delta")
     b, c = p.gen("b"), p.gen("c")
     d1, d2 = sm.delta1(ctx.mat), sm.delta2(ctx.mat)
@@ -220,12 +191,10 @@ def _c03_delta_commutation(ctx):
 
 
 def _c04_sdet_forms(ctx):
-    p = ctx.dual
+    p = _dual()
     al, de = p.gen("alpha"), p.gen("delta")
     b, c = p.gen("b"), p.gen("c")
     bi, ci = p.gen("b", -1), p.gen("c", -1)
-    from .algebra import invert_quasi_unit
-
     d1i = invert_quasi_unit(sm.delta1(ctx.mat))
     d2i = invert_quasi_unit(sm.delta2(ctx.mat))
     pairs = [
@@ -243,10 +212,8 @@ def _c04_sdet_forms(ctx):
 
 
 def _c05_sdet_central(ctx):
-    p = ctx.dual
+    p = _dual()
     s1 = sm.sdet(ctx.mat)
-    from .algebra import invert_quasi_unit
-
     s2 = p.gen("c") * p.gen("c") * invert_quasi_unit(sm.delta2(ctx.mat))
     pairs = []
     for label, s in (("b^2*delta1^-1", s1), ("c^2*delta2^-1", s2)):
@@ -258,12 +225,10 @@ def _c05_sdet_central(ctx):
 
 
 def _c06_left_inverse(ctx):
-    p = ctx.dual
+    p = _dual()
     m = ctx.mat
     left = sm.left_inverse(m)
     ident = sm.identity(p)
-    from .algebra import invert_quasi_unit
-
     al, de = p.gen("alpha"), p.gen("delta")
     b, c = p.gen("b"), p.gen("c")
     bi, ci = p.gen("b", -1), p.gen("c", -1)
@@ -281,10 +246,7 @@ def _c06_left_inverse(ctx):
         ("M@left_inverse(M)", sm.matmul(m, left), ident),
         ("factored form", sm.matmul(factor_left, factor_right), left),
     ):
-        for slot, x, y in zip(
-            ("e11", "e12", "e21", "e22"), got.entries, want.entries
-        ):
-            pairs.append((f"{label}.{slot}", x - y))
+        pairs += _entry_residuals(label, got, want)
     status, witness = _residual_check(pairs)
     return status, {}, witness
 
@@ -300,10 +262,7 @@ def _c07_decomposition(ctx):
         ("factor product", recon, m),
         ("inverse_via_decomposition", via, left),
     ):
-        for slot, x, y in zip(
-            ("e11", "e12", "e21", "e22"), got.entries, want.entries
-        ):
-            pairs.append((f"{label}.{slot}", x - y))
+        pairs += _entry_residuals(label, got, want)
     status, witness = _residual_check(pairs)
     return status, {}, witness
 
@@ -311,12 +270,9 @@ def _c07_decomposition(ctx):
 def _c08_odd_powers(ctx):
     pairs = []
     for n in range(1, ctx.max_n + 1):
-        want = sm.closed_form_odd(ctx.dual, n)
-        got = ctx.mat_power(2 * n - 1)
-        for slot, x, y in zip(
-            ("e11", "e12", "e21", "e22"), got.entries, want.entries
-        ):
-            pairs.append((f"n={n}.{slot}", x - y))
+        want = sm.closed_form_odd(_dual(), n)
+        got = ctx.power(ctx.mat, 2 * n - 1)
+        pairs += _entry_residuals(f"n={n}", got, want)
     status, witness = _residual_check(pairs)
     return status, {"max_n": ctx.max_n}, witness
 
@@ -324,12 +280,9 @@ def _c08_odd_powers(ctx):
 def _c09_even_powers(ctx):
     pairs = []
     for n in range(1, ctx.max_n + 1):
-        want = sm.closed_form_even(ctx.dual, n)
-        got = ctx.mat_power(2 * n)
-        for slot, x, y in zip(
-            ("e11", "e12", "e21", "e22"), got.entries, want.entries
-        ):
-            pairs.append((f"n={n}.{slot}", x - y))
+        want = sm.closed_form_even(_dual(), n)
+        got = ctx.power(ctx.mat, 2 * n)
+        pairs += _entry_residuals(f"n={n}", got, want)
     status, witness = _residual_check(pairs)
     return status, {"max_n": ctx.max_n}, witness
 
@@ -342,7 +295,10 @@ def _c10_odd_power_pattern(ctx):
 
 def _c11_even_power_pattern(ctx):
     outcomes = [
-        (f"n={n}", sm.check_gl_pattern(ctx.mat_power(2 * n), q_power(2 * n)))
+        (
+            f"n={n}",
+            sm.check_gl_pattern(ctx.power(ctx.mat, 2 * n), q_power(2 * n)),
+        )
         for n in range(1, ctx.max_n + 1)
     ]
     status, witness = _outcome_check(outcomes)
@@ -350,7 +306,7 @@ def _c11_even_power_pattern(ctx):
 
 
 def _c12_product_of_duals(ctx):
-    pair = ctx.dual_pair
+    pair = tensor(_dual(), rename(_dual(), "2"), name="dualxdual")
     m1 = sm.dual_generator_matrix(pair)
     m2 = sm.dual_generator_matrix(pair, suffix="2")
     prod = sm.matmul(m1, m2)
@@ -375,7 +331,7 @@ def _c12_product_of_duals(ctx):
 
 def _c13_gl_power_parameter(ctx):
     outcomes = [
-        (f"n={n}", sm.check_gl_pattern(ctx.gl_mat_power(n), q_power(n)))
+        (f"n={n}", sm.check_gl_pattern(ctx.power(ctx.gl_mat, n), q_power(n)))
         for n in (2, 3, 4)
     ]
     status, witness = _outcome_check(outcomes)
@@ -383,8 +339,8 @@ def _c13_gl_power_parameter(ctx):
 
 
 def _c14_covariance_gl(ctx):
-    t1 = ctx.plane_tensor("gl", "plane")
-    t2 = ctx.plane_tensor("gl", "dualplane")
+    t1 = tensor(gl_algebra(), superplane())
+    t2 = tensor(gl_algebra(), dual_superplane())
     outcomes = [
         (
             "plane coordinates",
@@ -410,8 +366,8 @@ def _c14_covariance_gl(ctx):
 
 
 def _c15_covariance_dual(ctx):
-    t1 = ctx.plane_tensor("dual", "plane")
-    t2 = ctx.plane_tensor("dual", "dualplane")
+    t1 = tensor(_dual(), superplane())
+    t2 = tensor(_dual(), dual_superplane())
     outcomes = [
         (
             "plane coordinates -> dual-plane relations",
@@ -437,6 +393,12 @@ def _c15_covariance_dual(ctx):
 
 
 def _random_word(pres, rng, max_len=8):
+    """A random well-formed (generator, exponent) word for ``pres``.
+
+    Odd generators only ever get exponent 1 (higher powers are zero anyway
+    and negative ones are illegal); invertible generators range over small
+    exponents of both signs.
+    """
     word = []
     for _ in range(rng.randrange(max_len + 1)):
         g = rng.randrange(len(pres.generators))
@@ -455,7 +417,7 @@ def _c16_confluence(ctx):
     words_per_algebra = 12
     brute_seeds = 2
     rng = random.Random(ctx.seed)
-    algebras = [ctx.dual, ctx.gl, superplane(), dual_superplane()]
+    algebras = [_dual(), gl_algebra(), superplane(), dual_superplane()]
     for pres in algebras:
         for k in range(words_per_algebra):
             word = _random_word(pres, rng)

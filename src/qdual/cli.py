@@ -24,6 +24,7 @@ from .algebra import AlgebraError, render_element
 from .checks import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
+    _dual,
     has_failure,
     machine_lines,
     run_suite,
@@ -32,7 +33,6 @@ from .checks import (
 from .parsing import ParseError, parse_element
 from .presentations import (
     derive_inverse_rules,
-    dual_algebra,
     dual_superplane,
     gl_algebra,
     load_presentation_file,
@@ -41,26 +41,27 @@ from .presentations import (
     tensor,
 )
 
-_BUILTIN_ALGEBRAS = ("dual", "gl", "plane", "dualplane",
-                     "dualxdual", "glxplane", "dualxplane")
+
+# builtin name -> builder.  The constructors are memoised, so every call for
+# one name returns the same presentation; the builders look them up at call
+# time, so wrappers installed on the module attributes see every call.
+_BUILTIN_ALGEBRAS = {
+    "dual": _dual,
+    "gl": lambda: gl_algebra(),
+    "plane": lambda: superplane(),
+    "dualplane": lambda: dual_superplane(),
+    "dualxdual": lambda: tensor(
+        _dual(), rename(_dual(), "2"), name="dualxdual"
+    ),
+    "glxplane": lambda: tensor(gl_algebra(), superplane()),
+    "dualxplane": lambda: tensor(_dual(), superplane()),
+}
 
 
 def _algebra_by_name(name):
-    if name == "dual":
-        return derive_inverse_rules(dual_algebra())
-    if name == "gl":
-        return gl_algebra()
-    if name == "plane":
-        return superplane()
-    if name == "dualplane":
-        return dual_superplane()
-    if name == "dualxdual":
-        dual = derive_inverse_rules(dual_algebra())
-        return tensor(dual, rename(dual, "2"), name="dualxdual")
-    if name == "glxplane":
-        return tensor(gl_algebra(), superplane())
-    if name == "dualxplane":
-        return tensor(derive_inverse_rules(dual_algebra()), superplane())
+    build = _BUILTIN_ALGEBRAS.get(name)
+    if build is not None:
+        return build()
     if os.path.exists(name):
         return derive_inverse_rules(load_presentation_file(name))
     raise AlgebraError(

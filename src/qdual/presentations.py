@@ -9,6 +9,15 @@ Constructions: super tensor products (disjoint copies that commute up to the
 Koszul sign), renamed copies for second tensor factors, derivation of the
 exchange rules for inverse letters, and a small text format for loading
 custom presentations.
+
+The built-ins and the three constructions are memoised, so the same inputs
+always give the same :class:`~qdual.algebra.Presentation`: elements built
+through separate calls can be mixed, and each presentation's multiplication
+table is filled once per process.  The caches key on presentation identity
+and keep every presentation passed to them alive.  Two threads making the
+first call at the same moment may each build an object; every later call
+returns the cached one.  Descriptor files are not memoised: each load builds
+a new presentation.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from .algebra import (
     Presentation,
     PresentationError,
 )
+from .parsing import ParseError, parse_raw_terms
 from .qfield import ONE, Q, QRational, q_power, scalar
 
 _MINUS_ONE = -ONE
@@ -105,8 +115,12 @@ def dual_superplane():
     return Presentation("dualplane", gens, _rules_from_names(gens, table))
 
 
-def rename(pres, suffix):
-    """A copy of a presentation with every generator name suffixed."""
+@lru_cache(maxsize=None)
+def rename(pres, suffix, /):
+    """The copy of a presentation with every generator name suffixed.
+
+    The same (presentation, suffix) always gives the same object.
+    """
     gens = tuple(
         GeneratorSpec(g.name + suffix, g.parity, g.invertible)
         for g in pres.generators
@@ -121,13 +135,19 @@ def rename(pres, suffix):
 
 
 def tensor(a, b, name=None):
-    """Super tensor product of two presentations.
+    """Super tensor product of two presentations, named ``AxB`` by default.
 
     Generator names must be disjoint; use :func:`rename` for a second copy.
     The first factor's generators keep their ranks and the second factor's
     follow.  Across factors, letters exchange freely up to the Koszul sign:
-    odd past odd picks up -1, everything else commutes.
+    odd past odd picks up -1, everything else commutes.  The same factors
+    and resolved name always give the same object.
     """
+    return _tensor(a, b, name or f"{a.name}x{b.name}")
+
+
+@lru_cache(maxsize=None)
+def _tensor(a, b, name):
     clash = {g.name for g in a.generators} & {g.name for g in b.generators}
     if clash:
         raise PresentationError(
@@ -149,7 +169,7 @@ def tensor(a, b, name=None):
                 for sa in ((1, -1) if ag.invertible else (1,)):
                     rules[(bi + off, sb, ai, sa)] = (eps, ())
     return Presentation(
-        name or f"{a.name}x{b.name}",
+        name,
         gens,
         rules,
         derived=a.derived and b.derived,
@@ -157,7 +177,8 @@ def tensor(a, b, name=None):
     )
 
 
-def derive_inverse_rules(pres):
+@lru_cache(maxsize=None)
+def derive_inverse_rules(pres, /):
     """Extend a presentation with the exchange rules for inverse letters.
 
     For every authored rule g_j*g_i = lam*g_i*g_j + C and every invertible
@@ -169,8 +190,9 @@ def derive_inverse_rules(pres):
 
     These are consequences of the presentation, not new axioms: each one is
     obtained by multiplying the authored rule by inverse letters on both
-    sides.  Returns a new presentation (or the same one when nothing is
-    invertible or the rules were already derived).
+    sides.  Returns the derived presentation, the same object on every call
+    (the input itself when nothing is invertible or the rules were already
+    derived).
     """
     if pres.derived:
         return pres
@@ -220,8 +242,6 @@ def derive_inverse_rules(pres):
 
 def load_presentation(text, name="custom"):
     """Parse a presentation descriptor; raises PresentationError on bad input."""
-    from .parsing import ParseError, parse_raw_terms
-
     gens = []
     raw_rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -6,7 +6,7 @@ own seed; nothing here touches global randomness.
 
 from fractions import Fraction
 
-from qdual.algebra import EVEN
+from qdual.checks import _random_word as random_word
 from qdual.qfield import ONE, Q, q_power, scalar
 
 COEFFS = (
@@ -25,27 +25,6 @@ COEFFS = (
 
 def random_coeff(rng):
     return rng.choice(COEFFS)
-
-
-def random_word(pres, rng, max_len=8):
-    """A random well-formed (generator, exponent) word for ``pres``.
-
-    Odd generators only ever get exponent 1 (higher powers are zero anyway
-    and negative ones are illegal); invertible generators range over small
-    exponents of both signs.
-    """
-    word = []
-    for _ in range(rng.randrange(max_len + 1)):
-        g = rng.randrange(len(pres.generators))
-        spec = pres.generators[g]
-        if spec.parity != EVEN:
-            exp = 1
-        elif spec.invertible:
-            exp = rng.choice((-2, -1, 1, 2))
-        else:
-            exp = rng.choice((1, 2))
-        word.append((g, exp))
-    return word
 
 
 def random_element(pres, rng, n_words=3, max_len=5):

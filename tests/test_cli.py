@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from qdual import cli
+from qdual.algebra import render_element
 from qdual.checks import CheckReport
 from qdual.parsing import parse_element
 from qdual.presentations import derive_inverse_rules, dual_algebra
@@ -65,6 +66,23 @@ def test_nf_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "nf", "--algebra", "nosuch", "b")
     assert code == 2 and "unknown algebra" in err
+
+
+def test_builtin_algebras_are_one_object_each(capsys):
+    names = ("dual", "gl", "plane", "dualplane",
+             "dualxdual", "glxplane", "dualxplane")
+    for name in names:
+        assert cli._algebra_by_name(name) is cli._algebra_by_name(name)
+    # elements parsed through separate lookups live in one algebra
+    b = parse_element("b", cli._algebra_by_name("dual"))
+    c = parse_element("c", cli._algebra_by_name("dual"))
+    assert render_element(c * b) == "b*c + (q^2 - 1)/(q)*alpha*delta"
+    code, _, err = run(capsys, "nf", "--algebra", "nosuch", "b")
+    assert code == 2
+    assert err == (
+        f"error: unknown algebra 'nosuch': expected one of "
+        f"{', '.join(names)} or a descriptor file path\n"
+    )
 
 
 def test_usage_errors_exit_2(capsys):
@@ -187,9 +205,11 @@ def test_verify_machine_output_matches_the_recorded_run(capsys):
     # recorded from `qdual verify --max-n 6 --format machine` before Element
     # products went through the multiplication table
     golden = Path(__file__).parent / "data" / "verify_n6_seed1729.txt"
-    code, out, err = run(
-        capsys, "verify", "--max-n", "6", "--format", "machine",
-        "--seed", "1729",
-    )
-    assert code == 0 and err == ""
-    assert out == golden.read_text(encoding="utf-8")
+    # the second run reuses the multiplication tables the first one filled
+    for _ in range(2):
+        code, out, err = run(
+            capsys, "verify", "--max-n", "6", "--format", "machine",
+            "--seed", "1729",
+        )
+        assert code == 0 and err == ""
+        assert out == golden.read_text(encoding="utf-8")

@@ -10,6 +10,7 @@ from qdual.presentations import (
     gl_algebra,
     load_presentation,
     load_presentation_file,
+    rename,
     superplane,
     tensor,
 )
@@ -31,6 +32,16 @@ def test_builtin_shapes():
 def test_builtins_are_cached():
     assert dual_algebra() is dual_algebra()
     assert gl_algebra() is gl_algebra()
+    d = derive_inverse_rules(dual_algebra())
+    assert derive_inverse_rules(dual_algebra()) is d
+    assert rename(d, "2") is rename(d, "2")
+    assert rename(d, "2") is not rename(d, "3")
+    t = tensor(gl_algebra(), superplane())
+    assert tensor(gl_algebra(), superplane()) is t
+    assert tensor(gl_algebra(), superplane(), name="glxplane") is t
+    assert tensor(gl_algebra(), superplane(), name="gp") is not t
+    pair = tensor(d, rename(d, "2"), name="dualxdual")
+    assert tensor(d, rename(d, "2"), name="dualxdual") is pair
 
 
 def test_derive_inverse_rules_is_idempotent():

@@ -12,23 +12,37 @@ generators contribute inverse letters g^-1 that annihilate against g.
 
 Elements are finite Q(q)-linear combinations of normal-ordered monomials
 g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
-plain even in N).  The engine rewrites arbitrary words to this basis by
-repeatedly exchanging the leftmost out-of-order adjacent pair; a seeded
-random-order variant (:func:`brute_force_nf`) serves as a confluence oracle
-in the test suite.
+plain even in N).
 
-Products of elements go through a multiplication table in the manner of
-Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps a
-lazily filled map from (normal-form monomial, letter) to the normal form of
-their product at unit coefficient.  The built-in presentations and their
+One engine computes every normal form: a multiplication table in the manner
+of Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps
+a lazily filled map from (normal-form monomial m, letter x) to the normal
+form of m*x at unit coefficient.  The built-in presentations and their
 constructions are memoised (see :mod:`qdual.presentations`), so there is
-one table per presentation and it lives for the whole process.  A monomial product m1*m2 folds the
-letters of m2 into m1 through that table, and each product's coefficient
-multiplies the folded result once.  A missing entry is computed by the same
-leftmost-first rewriting, which stays the definition of the normal form.
-Folding letter by letter equals rewriting the whole word only when the
-presentation is confluent; check C16 tests this on random words in the
-four built-in presentations.
+one table per presentation and it lives for the whole process.  A word, or
+a product of monomials, is folded in letter by letter through the table;
+letters that sort after the monomial or merge with its last exponent join
+it directly.  A missing entry is built from smaller ones: with m = r * g^s
+and the exchange rule g^s * x = lam * x * g^s + sum mu * u, the entry is
+lam * (r*x)*g^s + sum mu * r*u, each folded through the table again.  The
+misses run on an explicit stack, so exponents in the thousands need no
+deep recursion, and every rule applied counts against a step cap.
+
+Entries are keyed on the part of m above x when the part split off below
+it is even: ``b^j c^-9 * b`` reuses the entry for ``c^-9 * b`` for every j.
+When that part holds an odd letter the key is the whole monomial, because
+its odd letters are what make some corrections vanish (for the derived
+rule of ``c^-1 * b^-1`` they stop the correction from recreating its own
+redex).  As in whole-word rewriting, a product that repeats an odd letter
+is zero.
+
+Folding letter by letter gives the normal form that whole-word rewriting
+gives only when the presentation is confluent, and :meth:`normal_form`
+assumes it; check C16 compares it with random-order rewriting
+(:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
+confluent, ``normal_form`` may differ from leftmost rewriting, which stays
+in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
+oracle.
 
 Elements are immutable.  The tables are the only shared mutable state:
 threads may share elements and presentations, and concurrent misses only
@@ -133,7 +147,7 @@ class Presentation:
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
         # (normal-form monomial, letter) -> normal form of their product at
-        # unit coefficient; filled lazily by _mono_product
+        # unit coefficient; filled lazily by _run
         self._mul_table = {}
 
     # -- validation -------------------------------------------------------
@@ -263,13 +277,14 @@ class Presentation:
         """Normal form of coeff * (product of the word's letters).
 
         The word is a sequence of (generator, exponent) pairs, generators by
-        name or index.  Deterministic: the leftmost out-of-order adjacent pair
-        is exchanged first.
+        name or index.  Its letters are folded in from left to right through
+        the multiplication table.
         """
         c = _coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be an int, Fraction or QRational")
-        return self._element(_reduce(self, [(c, self.letters(word))]))
+        letters = self.letters(word)
+        return self._element(_run(self, _fold(self, {(): c}, letters)))
 
     def brute_force_nf(self, word, seed, coeff=ONE):
         """Like :meth:`normal_form` but applying rules in seeded random order.
@@ -342,8 +357,21 @@ def _letters_str(pres, letters):
     )
 
 
+def _step_cap_error(pres, length, pair):
+    return RewriteLimitError(
+        f"rewriting in {pres.name!r} exceeded the step cap of {_STEP_CAP} at "
+        f"a word of length {length}, applying the rule for "
+        f"{_letters_str(pres, pair)}"
+    )
+
+
 def _reduce(pres, items, *, rng=None, prune=True):
-    """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map."""
+    """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map.
+
+    Whole-word rewriting: the engine of :meth:`Presentation.brute_force_nf`
+    and the tests' oracle for the multiplication table.  With ``rng`` unset
+    the leftmost out-of-order pair is exchanged first.
+    """
     acc = {}
     pending = list(items)
     steps = 0
@@ -375,11 +403,7 @@ def _reduce(pres, items, *, rng=None, prune=True):
             continue
         steps += 1
         if steps > _STEP_CAP:
-            raise RewriteLimitError(
-                f"rewriting in {pres.name!r} exceeded the step cap of "
-                f"{_STEP_CAP} at a word of length {len(word)}, applying the "
-                f"rule for {_letters_str(pres, word[t : t + 2])}"
-            )
+            raise _step_cap_error(pres, len(word), word[t : t + 2])
         gj, sj = word[t]
         gi, si = word[t + 1]
         lam, corr = pres._rule(gj, sj, gi, si)
@@ -471,13 +495,13 @@ class Element:
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                c = c1 * c2
+                c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                 m = _concat(pres, m1, m2)
                 if m is _NEEDS_REWRITE:
-                    for mo, k in _mono_product(pres, m1, m2).items():
-                        ck = c * k
+                    prod = _run(pres, _fold(pres, {m1: c}, _expand(m2)))
+                    for mo, k in prod.items():
                         c0 = acc.get(mo)
-                        acc[mo] = ck if c0 is None else c0 + ck
+                        acc[mo] = k if c0 is None else c0 + k
                 elif m is not None:
                     c0 = acc.get(m)
                     acc[m] = c if c0 is None else c0 + c
@@ -548,28 +572,140 @@ def _concat(pres, m1, m2):
     return m1[:-1] + ((g1, e),) + m2[1:]
 
 
-def _mono_product(pres, m1, m2):
-    """{monomial: coefficient} normal form of m1*m2 at unit coefficient.
+# The table is filled by generator "frames" that _run keeps on an explicit
+# stack.  A frame yields each (monomial, letter) product the table lacks and
+# is sent back its row, a tuple of (monomial, coefficient) pairs.
 
-    Folds the letters of m2 into m1 one at a time through the presentation's
-    multiplication table; a missing entry is rewritten once by _reduce.
+
+def _fold(pres, cur, letters):
+    """Frame: multiply the {monomial: coefficient} map cur by the letters.
+
+    Letters join a monomial directly when they sort after it or merge with
+    its last exponent; every other product comes from the table.  Returns
+    the resulting map.
     """
     table = pres._mul_table
-    cur = {m1: ONE}
-    for letter in _expand(m2):
+    parities = pres._parities
+    for x in letters:
+        g, s = x
         nxt = {}
         for m, k in cur.items():
-            row = table.get((m, letter))
-            if row is None:
-                acc = _reduce(pres, [(ONE, _expand(m) + (letter,))])
-                row = tuple((mo, ko) for mo, ko in acc.items() if ko)
-                table[(m, letter)] = row
-            for mo, ko in row:
-                kk = ko if k is ONE else k * ko
-                c0 = nxt.get(mo)
-                nxt[mo] = kk if c0 is None else c0 + kk
+            if not m or m[-1][0] < g:
+                mo = m + (x,)
+            elif m[-1][0] == g:
+                e = m[-1][1] + s
+                if e == 0:
+                    mo = m[:-1]
+                elif parities[g] == ODD:
+                    continue
+                else:
+                    mo = m[:-1] + ((g, e),)
+            else:
+                if parities[g] == ODD and any(h == g for h, _ in m):
+                    continue  # a repeated odd letter: zero, as in _reduce
+                row = table.get((m, x))
+                if row is None:
+                    row = yield m, x
+                for mo, ko in row:
+                    kk = k if ko is ONE else ko if k is ONE else k * ko
+                    c0 = nxt.get(mo)
+                    nxt[mo] = kk if c0 is None else c0 + kk
+                continue
+            c0 = nxt.get(mo)
+            nxt[mo] = k if c0 is None else c0 + k
         cur = {m: k for m, k in nxt.items() if k}
     return cur
+
+
+def _exchange(pres, m, x):
+    """Frame for the table entry m*x: one exchange rule, then table folds.
+
+    With m = rest * g^s and the rule g^s * x = lam * x * g^s + sum mu * u,
+    m*x = lam * rest*x*g^s + sum mu * rest*u.
+    """
+    g, e = m[-1]
+    s = 1 if e > 0 else -1
+    rest = m[:-1] if e == s else m[:-1] + ((g, e - s),)
+    lam, corr = pres._rule(g, s, x[0], x[1])
+    acc = {}
+    for mu, word in ((lam, (x, (g, s))),) + corr:
+        part = yield from _fold(pres, {rest: mu}, word)
+        for mo, ko in part.items():
+            c0 = acc.get(mo)
+            acc[mo] = ko if c0 is None else c0 + ko
+    return tuple((mo, ko) for mo, ko in acc.items() if ko)
+
+
+def _prefixed(pres, prefix, core, x):
+    """Frame for (prefix * core) * x from the table entry core * x.
+
+    prefix is even and sorts before x, so it only multiplies each term of
+    core*x from the left.
+    """
+    row = yield core, x
+    acc = {}
+    for t, k in row:
+        mo = _concat(pres, prefix, t)
+        if mo is _NEEDS_REWRITE:
+            part = (yield from _fold(pres, {prefix: k}, _expand(t))).items()
+        else:
+            part = () if mo is None else ((mo, k),)
+        for mo, ko in part:
+            c0 = acc.get(mo)
+            acc[mo] = ko if c0 is None else c0 + ko
+    return tuple((mo, ko) for mo, ko in acc.items() if ko)
+
+
+def _run(pres, frame):
+    """Drive a frame to its result, filling the table entries it lacks.
+
+    An entry m*x is keyed on the part of m above x when the part below is
+    even (the module docstring says why), else on all of m.
+    """
+    table = pres._mul_table
+    parities = pres._parities
+    stack = [(None, frame)]
+    open_keys = set()
+    steps = 0
+    reply = None
+    while True:
+        key, frame = stack[-1]
+        try:
+            m, x = frame.send(reply)
+        except StopIteration as done:
+            reply = done.value
+            stack.pop()
+            if key is not None:
+                table[key] = reply
+                open_keys.discard(key)
+            if not stack:
+                return reply
+            continue
+        reply = None
+        p = 0
+        while m[p][0] <= x[0]:
+            p += 1
+        if p and not any(parities[h] for h, _ in m[:p]):
+            stack.append((None, _prefixed(pres, m[:p], m[p:], x)))
+            continue
+        key = (m, x)
+        reply = table.get(key)
+        if reply is not None:
+            continue
+        g, e = m[-1]
+        pair = ((g, 1 if e > 0 else -1), x)
+        length = sum(abs(e) for _, e in m) + 1
+        if key in open_keys:
+            raise RewriteLimitError(
+                f"rewriting in {pres.name!r} does not terminate: the rule for "
+                f"{_letters_str(pres, pair)} at a word of length {length} "
+                "needs its own result"
+            )
+        steps += 1
+        if steps > _STEP_CAP:
+            raise _step_cap_error(pres, length, pair)
+        open_keys.add(key)
+        stack.append((key, _exchange(pres, m, x)))
 
 
 def invert_quasi_unit(x):

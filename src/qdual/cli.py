@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
 
 from . import supermatrix as sm
 from .algebra import AlgebraError, render_element
@@ -94,7 +95,9 @@ def _add_style_flags(sub):
     )
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    # built on first use and reused: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="qdual",
         description="Exact calculus for dual quantum supermatrices.",
@@ -219,8 +222,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, AlgebraError, OSError) as exc:

@@ -12,13 +12,24 @@ generator of the target presentation.  Division requires a purely scalar
 divisor.  A negative exponent applies to a scalar or to a single product of
 invertible generators.  :func:`render_element`'s default style emits text
 this grammar accepts, so elements round-trip.
+
+One grammar, two semantic backends.  :func:`parse_raw_terms` expands the
+text into unnormalised (coefficient, word) terms, as descriptor rules need.
+:func:`parse_element` evaluates it on normal-form elements, so a power like
+``(b+c)^12`` costs twelve element products rather than 2^12 raw words.
+Division and negative powers are decided on the shape of the raw expansion
+(does it have letters; is it a single term), which the element backend
+tracks next to each element: ``b/(b*b^-1)`` is rejected and ``(c*b)^-1``
+inverts the word ``c*b``, as in the raw backend.  A first pass over the
+shape alone raises every :class:`ParseError` before any algebra runs.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
-from .qfield import ONE, Q, scalar
+from .qfield import ONE, Q, ZERO, scalar
 
 __all__ = ["ParseError", "parse_element", "parse_raw_terms"]
 
@@ -62,17 +73,19 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the token list.
+    """Recursive descent over the token list, on a semantic backend.
 
-    Productions return lists of (coefficient, word) pairs — the raw,
-    unnormalized expansion of the expression, with words as letter tuples.
+    The backend builds each production's value (see :class:`_RawTerms`).
+    Division and negative powers are decided on the shape of the raw
+    expansion, which every backend reports alike.
     """
 
-    def __init__(self, text, resolver):
-        self.toks = _tokenize(text)
+    def __init__(self, toks, resolver, backend):
+        self.toks = toks
         self.i = 0
         self.resolver = resolver
         self.invertible = {idx for idx, inv in resolver.values() if inv}
+        self.b = backend
 
     def peek(self):
         return self.toks[self.i]
@@ -82,34 +95,44 @@ class _Parser:
         self.i += 1
         return tok
 
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return value
+
     def expr(self):
+        b = self.b
         if self.peek()[0] == "-":
             self.take()
-            terms = _negate(self.term())
+            value = b.scale(self.term(), _MINUS_ONE)
         else:
-            terms = self.term()
+            value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            terms = terms + (_negate(rhs) if op == "-" else rhs)
-        return terms
+            if op == "-":
+                rhs = b.scale(rhs, _MINUS_ONE)
+            value = b.add(value, rhs)
+        return value
 
     def term(self):
-        terms = self.factor()
+        b = self.b
+        value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
             rhs = self.factor()
             if op == "*":
-                terms = _cross(terms, rhs)
+                value = b.mul(value, rhs)
             else:
-                s = _as_scalar(rhs)
+                s = b.scalar(rhs)
                 if s is None:
                     raise ParseError("divisor must be a scalar expression", pos)
                 if s.is_zero:
                     raise ParseError("division by zero", pos)
-                inv = s.inv()
-                terms = [(c * inv, w) for c, w in terms]
-        return terms
+                value = b.scale(value, s.inv())
+        return value
 
     def factor(self):
         base = self.base()
@@ -128,14 +151,14 @@ class _Parser:
     def base(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return [(scalar(int(val)), ())]
+            return self.b.term(scalar(int(val)), ())
         if kind == "name":
             if val == "q":
-                return [(Q, ())]
+                return self.b.term(Q, ())
             hit = self.resolver.get(val)
             if hit is None:
                 raise ParseError(f"unknown generator {val!r}", pos)
-            return [(ONE, ((hit[0], 1),))]
+            return self.b.term(ONE, ((hit[0], 1),))
         if kind == "(":
             inner = self.expr()
             tok = self.take()
@@ -146,20 +169,19 @@ class _Parser:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {val!r}", pos)
 
-    def _power(self, terms, k, pos):
+    def _power(self, value, k, pos):
+        b = self.b
         if k >= 0:
-            out = [(ONE, ())]
-            for _ in range(k):
-                out = _cross(out, terms)
-            return out
-        s = _as_scalar(terms)
+            return b.power(value, k)
+        s = b.scalar(value)
         if s is not None:
             if s.is_zero:
                 raise ParseError("cannot invert zero", pos)
-            return [(s ** k, ())]
-        if len(terms) != 1:
+            return b.term(s ** k, ())
+        single = b.single(value)
+        if single is None:
             raise ParseError("cannot invert a sum of monomials", pos)
-        c, w = terms[0]
+        c, w = single
         if c.is_zero:
             raise ParseError("cannot invert zero", pos)
         for g, _ in w:
@@ -167,28 +189,121 @@ class _Parser:
                 raise ParseError(
                     "negative power of a non-invertible generator", pos
                 )
-        step = [(c.inv(), tuple((g, -s) for g, s in reversed(w)))]
+        inv = ONE if c == ONE else c.inv()
+        step = b.term(inv, tuple((g, -s) for g, s in reversed(w)))
+        return b.power(step, -k)
+
+
+_MINUS_ONE = -ONE
+
+
+class _RawTerms:
+    """Values are raw (coefficient, word) lists: expanded, not normalised.
+
+    A backend provides ``term(c, word)``, ``add``, ``mul``, ``scale`` (by a
+    scalar), ``power`` (k >= 0) and the two shape queries the parser
+    decides on: ``scalar`` (the value when the raw expansion has no
+    letters, else None) and ``single`` (the raw expansion's only term,
+    else None).
+    """
+
+    def term(self, c, word):
+        return [(c, word)]
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return [(ca * cb, wa + wb) for ca, wa in a for cb, wb in b]
+
+    def scale(self, terms, s):
+        return [(c * s, w) for c, w in terms]
+
+    def power(self, terms, k):
         out = [(ONE, ())]
-        for _ in range(-k):
-            out = _cross(out, step)
+        for _ in range(k):
+            out = self.mul(out, terms)
         return out
 
-
-def _negate(terms):
-    return [(-c, w) for c, w in terms]
-
-
-def _cross(a, b):
-    return [(ca * cb, wa + wb) for ca, wa in a for cb, wb in b]
-
-
-def _as_scalar(terms):
-    total = None
-    for c, w in terms:
-        if w:
+    def scalar(self, terms):
+        if any(w for _, w in terms):
             return None
-        total = c if total is None else total + c
-    return total
+        return sum((c for c, _ in terms), ZERO)
+
+    def single(self, terms):
+        return terms[0] if len(terms) == 1 else None
+
+
+class _Shape:
+    """Values are raw shapes alone: (scalar or None, single term or None).
+
+    Nothing is expanded, so a first pass on this backend raises every
+    :class:`ParseError` before any algebra runs.
+    """
+
+    def term(self, c, word):
+        return (None if word else c), (c, word)
+
+    def add(self, a, b):
+        return _known(operator.add, a[0], b[0]), None
+
+    def mul(self, a, b):
+        return _known(operator.mul, a[0], b[0]), _known(_join, a[1], b[1])
+
+    def scale(self, v, c):
+        return _known(operator.mul, v[0], c), _known(_join, v[1], (c, ()))
+
+    def power(self, v, k):
+        if k == 0:
+            return ONE, (ONE, ())
+        return _known(operator.pow, v[0], k), _known(_repeat, v[1], k)
+
+    def scalar(self, v):
+        return v[0]
+
+    def single(self, v):
+        return v[1]
+
+
+def _known(f, x, y):
+    return None if x is None or y is None else f(x, y)
+
+
+def _join(s, t):
+    c = t[0] if s[0] is ONE else s[0] if t[0] is ONE else s[0] * t[0]
+    return c, s[1] + t[1]
+
+
+def _repeat(t, k):
+    return (t[0] if t[0] is ONE else t[0] ** k), t[1] * k
+
+
+class _Elements(_Shape):
+    """Values are (normal-form element of ``pres``, its raw shape)."""
+
+    def __init__(self, pres):
+        self.pres = pres
+
+    def term(self, c, word):
+        return self.pres.normal_form(word, c), super().term(c, word)
+
+    def add(self, a, b):
+        return a[0] + b[0], super().add(a[1], b[1])
+
+    def mul(self, a, b):
+        return a[0] * b[0], super().mul(a[1], b[1])
+
+    def scale(self, v, c):
+        return v[0] * c, super().scale(v[1], c)
+
+    def power(self, v, k):
+        return v[0] ** k, super().power(v[1], k)
+
+    def scalar(self, v):
+        return v[1][0]
+
+    def single(self, v):
+        return v[1][1]
 
 
 def parse_raw_terms(text, resolver):
@@ -198,12 +313,7 @@ def parse_raw_terms(text, resolver):
     the presentation-descriptor loader, where rule right-hand sides must stay
     unreduced.
     """
-    parser = _Parser(text, resolver)
-    terms = parser.expr()
-    tok = parser.peek()
-    if tok[0] != "end":
-        raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-    return terms
+    return _Parser(_tokenize(text), resolver, _RawTerms()).parse()
 
 
 def parse_element(text, pres):
@@ -211,8 +321,6 @@ def parse_element(text, pres):
     resolver = {
         g.name: (i, g.invertible) for i, g in enumerate(pres.generators)
     }
-    terms = parse_raw_terms(text, resolver)
-    out = pres.zero()
-    for c, w in terms:
-        out = out + pres.normal_form([(g, s) for g, s in w], c)
-    return out
+    toks = _tokenize(text)
+    _Parser(toks, resolver, _Shape()).parse()
+    return _Parser(toks, resolver, _Elements(pres)).parse()[0]

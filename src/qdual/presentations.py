@@ -16,8 +16,8 @@ through separate calls can be mixed, and each presentation's multiplication
 table is filled once per process.  The caches key on presentation identity
 and keep every presentation passed to them alive.  Two threads making the
 first call at the same moment may each build an object; every later call
-returns the cached one.  Descriptor files are not memoised: each load builds
-a new presentation.
+returns the cached one.  Descriptor files are interned by structure: every
+load of the same name, generators and rules returns one presentation.
 """
 
 from __future__ import annotations
@@ -241,7 +241,10 @@ def derive_inverse_rules(pres, /):
 
 
 def load_presentation(text, name="custom"):
-    """Parse a presentation descriptor; raises PresentationError on bad input."""
+    """Parse a presentation descriptor; raises PresentationError on bad input.
+
+    Loads with the same name, generators and rules return the same object.
+    """
     gens = []
     raw_rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -310,7 +313,13 @@ def load_presentation(text, name="custom"):
         if (gj, 1, gi, 1) in rules:
             raise PresentationError(f"line {lineno}: duplicate rule for {lhs!r}")
         rules[(gj, 1, gi, 1)] = (lam, corr)
-    return Presentation(name, tuple(gens), rules)
+    return _descriptor(name, tuple(gens), tuple(rules.items()))
+
+
+@lru_cache(maxsize=None)
+def _descriptor(name, gens, rules):
+    # one presentation per (name, generators, rules), however often loaded
+    return Presentation(name, gens, dict(rules))
 
 
 def load_presentation_file(path):

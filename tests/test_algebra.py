@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from qdual import algebra
+from qdual import algebra, cli
 from qdual.algebra import (
     AlgebraError,
     AlgebraMismatchError,
@@ -30,11 +30,12 @@ from qdual.presentations import (
     dual_algebra,
     dual_superplane,
     gl_algebra,
+    load_presentation,
     rename,
     superplane,
     tensor,
 )
-from qdual.qfield import ONE, Q, q_power, scalar
+from qdual.qfield import ONE, Q, q_power, qnum, scalar
 
 from helpers import random_element, random_word
 
@@ -233,14 +234,18 @@ def test_associativity_fuzz():
             assert (x + y) * z == x * z + y * z
 
 
+def _whole_word_nf(pres, word, coeff=ONE):
+    # leftmost whole-word rewriting, which never reads the table
+    return pres._element(algebra._reduce(pres, [(coeff, pres.letters(word))]))
+
+
 def _whole_word_product(x, y):
-    # the product as one rewrite of each concatenated word, bypassing the
-    # multiplication table
+    # the product as one rewrite of each concatenated word
     pres = x.pres
     acc = pres.zero()
     for m1, c1 in x.terms:
         for m2, c2 in y.terms:
-            acc = acc + pres.normal_form(m1 + m2, c1 * c2)
+            acc = acc + _whole_word_nf(pres, m1 + m2, c1 * c2)
     return acc
 
 
@@ -262,6 +267,63 @@ def test_table_products_match_whole_word_rewriting_fuzz():
         assert pres._mul_table
 
 
+TWIST = """
+generator u even invertible
+generator theta odd
+rule theta*u = q^2*u*theta
+"""
+
+
+def test_normal_form_matches_whole_word_rewriting_fuzz():
+    rng = random.Random(9041)
+    presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
+    presentations.append(derive_inverse_rules(load_presentation(TWIST)))
+    for pres in presentations:
+        for _ in range(60):
+            word = random_word(pres, rng, 7)
+            assert pres.normal_form(word) == _whole_word_nf(pres, word)
+
+
+def test_long_exponent_misses_need_no_recursion():
+    # a chain of 3000 misses (c^i * b for every i), far past the recursion
+    # limit; c^n b = b c^n - (q - q^-1) [n] delta alpha c^(n-1)
+    got = DDUAL.gen("c", 3000) * DDUAL.gen("b")
+    de_al = DDUAL.gen("delta") * DDUAL.gen("alpha")
+    assert got == DDUAL.gen("b") * DDUAL.gen("c", 3000) - (
+        (Q - q_power(-1)) * qnum(3000) * (de_al * DDUAL.gen("c", 2999))
+    )
+
+
+def test_cold_long_product_fills_a_bounded_table(monkeypatch):
+    monkeypatch.setattr(DDUAL, "_mul_table", {})
+    got = DDUAL.gen("c", 40) * DDUAL.gen("b", 40)
+    assert len(got.terms) == 2
+    # 1482 of the entries are (alpha delta b^j c^i)*b, whose odd letters
+    # keep the whole monomial in the key; the rest are chains like c^i*b
+    assert len(DDUAL._mul_table) == 1718
+
+
+def test_entry_that_needs_itself_fails_fast():
+    # the derived rule v^-1 u^-1 = u^-1 v^-1 + u^-1 v^-1 w v^-1 u^-1
+    # recreates its own redex with an even letter that never vanishes
+    pres = derive_inverse_rules(load_presentation(
+        "generator w even\n"
+        "generator u even invertible\n"
+        "generator v even invertible\n"
+        "rule u*w = w*u\n"
+        "rule v*w = w*v\n"
+        "rule v*u = u*v + w\n",
+        name="runaway",
+    ))
+    with pytest.raises(RewriteLimitError) as err:
+        pres.normal_form([("v", -1), ("u", -1)])
+    assert str(err.value) == (
+        "rewriting in 'runaway' does not terminate: the rule for "
+        "v^-1*u^-1 at a word of length 2 needs its own result"
+    )
+    assert render_element(pres.normal_form([("v", 1), ("u", 1)])) == "u*v + w"
+
+
 def test_scalar_elements_hash_like_their_coefficient():
     assert DDUAL.one() == 1 and hash(DDUAL.one()) == hash(1)
     assert DDUAL.zero() == 0 and hash(DDUAL.zero()) == hash(0)
@@ -275,6 +337,9 @@ def test_scalar_elements_hash_like_their_coefficient():
 
 def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     monkeypatch.setattr(algebra, "_STEP_CAP", 0)
+    # normal_form reads the multiplication table too, and the fuzz tests
+    # fill it: start cold so the word needs a rule application
+    monkeypatch.setattr(DDUAL, "_mul_table", {})
     with pytest.raises(RewriteLimitError) as err:
         DDUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
     assert str(err.value) == (

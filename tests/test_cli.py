@@ -97,6 +97,24 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_one_parser_serves_every_call(capsys):
+    # the argparse tree is built once per process; a usage error that exits
+    # through SystemExit must leave it fit for the next calls
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matpow", "--n", "2", "--direct", "--compare"])
+    assert exc.value.code == 2
+    usage = capsys.readouterr().err
+    assert "not allowed with argument" in usage
+    code, out, err = run(capsys, "nf", "c*b")
+    assert (code, out, err) == (0, "b*c + (q^2 - 1)/(q)*alpha*delta\n", "")
+    code, out, _ = run(capsys, "matpow", "--n", "1", "--closed-form")
+    assert code == 0 and out.splitlines()[0] == "e11 = alpha"
+    with pytest.raises(SystemExit):
+        cli.main(["matpow", "--n", "2", "--direct", "--compare"])
+    assert capsys.readouterr().err == usage
+
+
 def test_matpow_direct_and_closed(capsys):
     code, out, _ = run(capsys, "matpow", "--n", "1", "--closed-form")
     assert code == 0

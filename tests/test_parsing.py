@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from qdual import algebra
 from qdual.algebra import render_element
-from qdual.parsing import ParseError, parse_element
+from qdual.parsing import ParseError, parse_element, parse_raw_terms
 from qdual.presentations import (
     derive_inverse_rules,
     dual_algebra,
@@ -108,3 +109,78 @@ def test_round_trip_fuzz():
         text = render_element(x)
         assert parse_element(text, pres) == x
         done += 1
+
+
+def _random_expr(rng, names, depth):
+    """Random expression text: sums, products, powers of both signs and
+    scalar division, small enough to expand into raw words."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(names + ["q", "2", "3", "0"])
+    a = _random_expr(rng, names, depth - 1)
+    kind = rng.randrange(6)
+    if kind == 0:
+        b = _random_expr(rng, names, depth - 1)
+        return f"({a} {rng.choice('+-')} {b})"
+    if kind == 1:
+        return f"{a}*{_random_expr(rng, names, depth - 1)}"
+    if kind == 2:
+        return f"({a})^{rng.randrange(4)}"
+    if kind == 3:
+        return f"({a})^-{rng.randrange(1, 3)}"
+    if kind == 4:
+        return f"{a}/{rng.choice(['2', '(q + 1)', 'q^-1', '(q - q)', 'b'])}"
+    return f"-{a}"
+
+
+def _raw_oracle(text, pres):
+    # the raw expansion, each word rewritten whole: never reads the table
+    resolver = {
+        g.name: (i, g.invertible) for i, g in enumerate(pres.generators)
+    }
+    terms = parse_raw_terms(text, resolver)
+    return pres._element(algebra._reduce(pres, terms))
+
+
+def test_element_backend_matches_raw_expansion_fuzz():
+    rng = random.Random(20260)
+    cases = (
+        (DDUAL, ["b", "c", "alpha", "delta", "(c*b)", "(b*c^-1)"]),
+        (GL, ["a", "d", "beta", "gamma"]),
+        (tensor(DDUAL, superplane()), ["b", "c", "alpha", "x", "xi"]),
+    )
+    outcomes = {"value": 0, "error": 0}
+    for pres, names in cases:
+        for _ in range(150):
+            text = _random_expr(rng, names, 3)
+            try:
+                want = _raw_oracle(text, pres)
+            except ParseError as err:
+                with pytest.raises(ParseError) as got:
+                    parse_element(text, pres)
+                assert (str(got.value), got.value.position) == (
+                    str(err), err.position)
+                outcomes["error"] += 1
+                continue
+            assert parse_element(text, pres) == want, text
+            outcomes["value"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("b/(b*b^-1)", "divisor must be a scalar expression", 1),
+    ("(b - b)^-1", "cannot invert a sum of monomials", 7),
+    ("(0*b)^-1", "cannot invert zero", 5),
+    ("(b+c)^12 +", "unexpected end of input", 10),
+])
+def test_errors_are_decided_on_the_raw_shape(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_element(text, DDUAL)
+    assert message in str(err.value)
+    assert err.value.position == position
+
+
+def test_negative_power_inverts_the_raw_word():
+    # c*b has two normal-form terms, but its raw expansion is one word
+    got = parse_element("(c*b)^-1", DDUAL)
+    assert got == DDUAL.gen("b", -1) * DDUAL.gen("c", -1)
+    assert got * parse_element("c*b", DDUAL) == DDUAL.one()

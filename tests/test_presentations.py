@@ -105,6 +105,21 @@ def test_descriptor_file(tmp_path):
     assert [g.name for g in pres.generators] == ["u", "theta"]
 
 
+def test_descriptor_loads_are_interned():
+    pres = load_presentation(DESCRIPTOR, name="twist")
+    derived = derive_inverse_rules(pres)
+    size = derive_inverse_rules.cache_info().currsize
+    for _ in range(2000):
+        again = load_presentation(DESCRIPTOR, name="twist")
+        assert again is pres
+        assert derive_inverse_rules(again) is derived
+    assert derive_inverse_rules.cache_info().currsize == size
+    # the name and the rules are part of the structure
+    assert load_presentation(DESCRIPTOR, name="other") is not pres
+    steeper = DESCRIPTOR.replace("q^2", "q^3")
+    assert load_presentation(steeper, name="twist") is not pres
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("generator q even\n", "'q' is the scalar indeterminate"),
     ("generator u even\ngenerator v even\nrule u*v = q*v*u\nfoo bar\n",

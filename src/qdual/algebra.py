@@ -34,7 +34,8 @@ When that part holds an odd letter the key is the whole monomial, because
 its odd letters are what make some corrections vanish (for the derived
 rule of ``c^-1 * b^-1`` they stop the correction from recreating its own
 redex).  As in whole-word rewriting, a product that repeats an odd letter
-is zero.
+is zero; validation rejects any correction that drops an odd letter of its
+exchanged pair, which is what makes that sound.
 
 Folding letter by letter gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form`
@@ -173,6 +174,7 @@ class Presentation:
             if not isinstance(lam, QRational) or lam.is_zero:
                 raise PresentationError("exchange coefficient must be a nonzero scalar")
             pair_parity = (self._parities[gi] + self._parities[gj]) % 2
+            pair_odd = {g for g in (gi, gj) if self._parities[g] == ODD}
             lhs_key = _word_key(((gi, 1), (gj, 1)), self._parities)
             for mu, word in corr:
                 if not isinstance(mu, QRational) or mu.is_zero:
@@ -193,6 +195,17 @@ class Presentation:
                         f"correction in rule "
                         f"({self.generators[gj].name}, {self.generators[gi].name}) "
                         "breaks the parity grading"
+                    )
+                dropped = pair_odd - {g for g, _ in word}
+                if dropped:
+                    # a product repeating an odd letter is taken to be zero
+                    # (the table's shortcut and _reduce's prune); that holds
+                    # only if corrections never remove an odd letter
+                    raise PresentationError(
+                        f"correction in rule "
+                        f"({self.generators[gj].name}, {self.generators[gi].name}) "
+                        f"drops the odd letter {self.generators[min(dropped)].name!r} "
+                        "of the exchanged pair; products would not be associative"
                     )
                 if not _word_key(word, self._parities) < lhs_key:
                     raise PresentationError(
@@ -299,9 +312,11 @@ class Presentation:
         generators: the inverse-pair exchange corrections regenerate their
         own redex while inserting an odd pair, so under arbitrary reduction
         orders the shortcut is what bounds the expansion.  Dropping such
-        words is sound regardless: corrections only ever add odd letters,
-        and any sorted monomial with a squared odd letter collapses to zero,
-        so every descendant of a repeating word contributes nothing.
+        words is sound regardless: corrections only ever add odd letters
+        (validation rejects a correction that drops an odd letter of its
+        exchanged pair), and any sorted monomial with a squared odd letter
+        collapses to zero, so every descendant of a repeating word
+        contributes nothing.
         """
         import random
 

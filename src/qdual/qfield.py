@@ -1,10 +1,18 @@
 """Exact arithmetic in Q(q), the rational functions of the deformation parameter.
 
 Every scalar in this package is a :class:`QRational`: a quotient of univariate
-polynomials in q with exact ``Fraction`` coefficients.  Each value is reduced
-by a polynomial gcd on construction and the denominator is kept monic, so two
+polynomials in q with exact rational coefficients.  Each value is reduced by
+a polynomial gcd on construction and the denominator is kept monic, so two
 equal rational functions are structurally equal (identical term tuples).  The
 zero value has the unique representation 0/1.
+
+A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
+when it is not.  Almost every coefficient the engine makes is an integer
+(q^k, q - q^-1, [n], Gaussian binomials), and ``int`` arithmetic skips the
+gcd that every ``Fraction`` operation pays.  Since an ``int`` and the equal
+``Fraction`` compare and hash alike, the split changes no value, no equality
+and no rendering; keeping each coefficient in its one canonical type keeps
+equal values structurally identical.
 
 Negative powers of q are ordinary rational functions: q^-1 is 1/q.  The
 q-integers used by the closed-form matrix powers live here as :func:`qnum`;
@@ -20,26 +28,39 @@ class PoleError(ArithmeticError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 # A polynomial in q is a tuple of (degree, coefficient) pairs in strictly
-# increasing degree with nonzero Fraction coefficients; () is zero.
+# increasing degree with nonzero coefficients, each an int when integral and
+# a Fraction otherwise; () is zero.
 
 _PZERO = ()
-_PONE = ((0, _F1),)
+_PONE = ((0, 1),)
+
+
+def _coef(v):
+    # the canonical form of a coefficient: an int when v is integral
+    if v.__class__ is int:
+        return v
+    return v.numerator if v.denominator == 1 else v
+
+
+def _cdiv(a, b):
+    # exact a / b as a canonical coefficient; `/` on two ints gives a float
+    if a.__class__ is int and b.__class__ is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _coef(a / b)
 
 
 def _pnorm(d):
-    return tuple(sorted((k, v) for k, v in d.items() if v))
+    return tuple(sorted((k, _coef(v)) for k, v in d.items() if v))
 
 
 def _padd(a, b):
     d = dict(a)
     for k, v in b:
-        nv = d.get(k, _F0) + v
+        nv = d.get(k, 0) + v
         if nv:
-            d[k] = nv
+            d[k] = _coef(nv)
         else:
             d.pop(k, None)
     return tuple(sorted(d.items()))
@@ -49,10 +70,8 @@ def _pneg(a):
     return tuple((k, -v) for k, v in a)
 
 
-def _pscale(a, c):
-    if not c:
-        return _PZERO
-    return tuple((k, v * c) for k, v in a)
+def _pdivc(a, c):
+    return tuple((k, _cdiv(v, c)) for k, v in a)
 
 
 def _pshift(a, n):
@@ -66,20 +85,12 @@ def _pmul(a, b):
     for ka, va in a:
         for kb, vb in b:
             k = ka + kb
-            d[k] = d.get(k, _F0) + va * vb
+            d[k] = d.get(k, 0) + va * vb
     return _pnorm(d)
 
 
-def _pdeg(a):
-    return a[-1][0] if a else -1
-
-
-def _plc(a):
-    return a[-1][1] if a else _F0
-
-
 def _peval(a, v):
-    acc = _F0
+    acc = Fraction(0)
     for k, c in a:
         acc += c * v ** k
     return acc
@@ -95,11 +106,11 @@ def _pdivmod(a, b):
         k = max(r)
         if k < db:
             break
-        c = r[k] / lb
+        c = _cdiv(r[k], lb)
         q[k - db] = c
         for kb, vb in b:
             kk = kb + k - db
-            nv = r.get(kk, _F0) - c * vb
+            nv = r.get(kk, 0) - c * vb
             if nv:
                 r[kk] = nv
             else:
@@ -110,21 +121,19 @@ def _pdivmod(a, b):
 def _pmonic(a):
     if not a or a[-1][1] == 1:
         return a
-    return _pscale(a, 1 / a[-1][1])
+    return _pdivc(a, a[-1][1])
 
 
 def _pgcd(a, b):
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    # factor out the common power of q first; it is the whole gcd remarkably
-    # often (most coefficients in the rewriting engine are monomials in q)
+    # monic gcd of two nonzero polynomials.  The power of q they share is
+    # found without division, and it is the whole gcd when either is a
+    # Laurent monomial c*q^k, which is remarkably often the case (most
+    # coefficients in the rewriting engine are monomials in q)
     m = min(a[0][0], b[0][0])
+    if len(a) == 1 or len(b) == 1:
+        return ((m, 1),)
     a = _pshift(a, -a[0][0])
     b = _pshift(b, -b[0][0])
-    if _pdeg(a) == 0 or _pdeg(b) == 0:
-        return _pshift(_PONE, m)
     while b:
         a, b = b, _pdivmod(a, b)[1]
     return _pshift(_pmonic(a), m)
@@ -153,10 +162,13 @@ def _pstr(a):
 class QRational:
     """A reduced rational function of q with a monic denominator.
 
-    Instances are immutable and canonical: equal values compare equal
-    structurally, which the rewriting engine relies on.  Construct values
-    through :func:`scalar`, :func:`q_power`, the constants ``ZERO``/``ONE``/``Q``
-    and arithmetic, not by calling this class directly.
+    ``num`` and ``den`` are polynomials: tuples of (degree, coefficient)
+    pairs in increasing degree, each coefficient an ``int`` when it is
+    integral and a ``Fraction`` only when it is not.  Instances are immutable
+    and canonical: equal values compare equal structurally, which the
+    rewriting engine relies on.  Construct values through :func:`scalar`,
+    :func:`q_power`, the constants ``ZERO``/``ONE``/``Q`` and arithmetic,
+    not by calling this class directly.
     """
 
     __slots__ = ("num", "den")
@@ -174,14 +186,17 @@ class QRational:
         if not num:
             return ZERO
         g = _pgcd(num, den)
-        if g != _PONE:
+        if len(g) > 1:
             num = _pdivmod(num, g)[0]
             den = _pdivmod(den, g)[0]
+        elif g[0][0]:
+            # the gcd is a power of q: cancel it by shifting exponents
+            num = _pshift(num, -g[0][0])
+            den = _pshift(den, -g[0][0])
         lc = den[-1][1]
         if lc != 1:
-            inv = 1 / lc
-            num = _pscale(num, inv)
-            den = _pscale(den, inv)
+            num = _pdivc(num, lc)
+            den = _pdivc(den, lc)
         return QRational(num, den)
 
     # -- predicates -----------------------------------------------------
@@ -291,7 +306,7 @@ class QRational:
         # a constant equals its Fraction and int values, so hash like them
         if self.den == _PONE:
             if not self.num:
-                return hash(_F0)
+                return hash(0)
             if len(self.num) == 1 and self.num[0][0] == 0:
                 return hash(self.num[0][1])
         return hash((self.num, self.den))
@@ -314,7 +329,7 @@ def _coerce(v):
 
 def scalar(v):
     """The constant rational function with value v (int or Fraction)."""
-    v = Fraction(v)
+    v = _coef(Fraction(v))
     if not v:
         return ZERO
     return QRational(((0, v),), _PONE)
@@ -323,8 +338,8 @@ def scalar(v):
 def q_power(k):
     """q^k for any integer k (negative k gives 1/q^|k|)."""
     if k >= 0:
-        return QRational(((k, _F1),), _PONE)
-    return QRational(_PONE, ((-k, _F1),))
+        return QRational(((k, 1),), _PONE)
+    return QRational(_PONE, ((-k, 1),))
 
 
 ZERO = QRational(_PZERO, _PONE)
@@ -344,6 +359,6 @@ def qnum(n, k=1):
         raise ValueError("qnum requires k >= 1")
     if n == 0:
         return ZERO
-    num = _padd(_PONE, ((2 * k * n, -_F1),))
-    den = _padd(_PONE, ((2 * k, -_F1),))
+    num = _padd(_PONE, ((2 * k * n, -1),))
+    den = _padd(_PONE, ((2 * k, -1),))
     return QRational._make(num, den)

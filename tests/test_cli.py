@@ -61,6 +61,23 @@ def test_nf_descriptor_file(capsys, tmp_path):
     assert out == "(1)/(q^2)*u^-1*theta\n"
 
 
+def test_nf_descriptor_that_drops_an_odd_letter_exits_2(capsys, tmp_path):
+    path = tmp_path / "drop.txt"
+    path.write_text(
+        "generator theta odd\n"
+        "generator phi odd\n"
+        "generator u even\n"
+        "rule phi*theta = -theta*phi\n"
+        "rule u*theta = theta*u + phi\n"
+        "rule u*phi = phi*u\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "nf", "--algebra", str(path), "theta*u*theta")
+    assert code == 2 and out == ""
+    assert err.startswith("error: correction in rule (u, theta) drops the odd "
+                          "letter 'theta'")
+
+
 def test_nf_errors_exit_2(capsys):
     code, _, err = run(capsys, "nf", "c*(")
     assert code == 2 and err.startswith("error:")
@@ -231,3 +248,15 @@ def test_verify_machine_output_matches_the_recorded_run(capsys):
         )
         assert code == 0 and err == ""
         assert out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_machine_output_at_n12_matches_the_recorded_run(capsys):
+    # recorded from `qdual verify --max-n 12 --format machine --seed 1729`
+    # while every scalar coefficient was still a Fraction
+    golden = Path(__file__).parent / "data" / "verify_n12_seed1729.txt"
+    code, out, err = run(
+        capsys, "verify", "--max-n", "12", "--format", "machine",
+        "--seed", "1729",
+    )
+    assert code == 0 and err == ""
+    assert out == golden.read_text(encoding="utf-8")

@@ -120,6 +120,18 @@ def test_descriptor_loads_are_interned():
     assert load_presentation(steeper, name="twist") is not pres
 
 
+# u*theta = theta*u + phi drops theta: (theta*u)*theta would be 0 by the
+# repeated-odd shortcut, but theta*(u*theta) = theta*phi
+ODD_LETTER_DROPPED = """
+generator theta odd
+generator phi odd
+generator u even
+rule phi*theta = -theta*phi
+rule u*theta = theta*u + phi
+rule u*phi = phi*u
+"""
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("generator q even\n", "'q' is the scalar indeterminate"),
     ("generator u even\ngenerator v even\nrule u*v = q*v*u\nfoo bar\n",
@@ -140,8 +152,24 @@ def test_descriptor_loads_are_interned():
     ("generator u even\ngenerator v even\nrule v*u = q*(u*v\n", "line 3"),
     ("generator u even\ngenerator v even\n", "missing exchange rule"),
     ("generator u even\ngenerator u odd\nrule u*u = q*u*u\n", "duplicate"),
+    (ODD_LETTER_DROPPED,
+     "correction in rule (u, theta) drops the odd letter 'theta'"),
 ])
 def test_descriptor_rejections(text, fragment):
     with pytest.raises(PresentationError) as err:
         load_presentation(text)
     assert fragment in str(err.value)
+
+
+def test_builtin_corrections_keep_the_odd_letters_of_their_pair():
+    # built-in and derived rule tables skip validation; they must still obey
+    # the rule that makes a repeated odd letter zero
+    d = derive_inverse_rules(dual_algebra())
+    for pres in (dual_algebra(), d, gl_algebra(), superplane(),
+                 dual_superplane(), tensor(gl_algebra(), superplane()),
+                 tensor(d, superplane()),
+                 tensor(d, rename(d, "2"), name="dualxdual")):
+        for (gj, _, gi, _), (_, corr) in pres._rules.items():
+            odd = {g for g in (gi, gj) if pres.generators[g].parity == ODD}
+            for _, word in corr:
+                assert odd <= {g for g, _ in word}, (pres.name, gj, gi, word)

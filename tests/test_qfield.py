@@ -149,3 +149,131 @@ def test_eval_is_a_homomorphism_fuzz():
         trees += 1
         if len(pool) < 80:
             pool.append((f, v))
+
+
+def _coefficients(f):
+    return [c for _, c in f.num + f.den]
+
+
+def _canonical(f):
+    # every coefficient is an int exactly when it is integral
+    return all(
+        type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for c in _coefficients(f)
+    )
+
+
+def test_integral_coefficients_are_ints():
+    forms = (scalar(Fraction(4, 2)), scalar(2), ONE + ONE)
+    for f in forms:
+        assert f.num == ((0, 2),) and f.den == ((0, 1),)
+        assert [type(c) for c in _coefficients(f)] == [int, int]
+        assert hash(f) == hash(forms[0]) == hash(2)
+    half = scalar(Fraction(1, 2))
+    assert type(half.num[0][1]) is Fraction
+    assert type((half + half).num[0][1]) is int
+    # dividing by a non-monic denominator makes it monic with exact division
+    f = (2 * Q + 4) / (3 * Q * Q - 6)
+    assert f.num == ((0, Fraction(4, 3)), (1, Fraction(2, 3)))
+    assert f.den == ((0, -2), (2, 1))
+    assert _canonical(f)
+    for v in (ZERO, ONE, Q, half, f, scalar(3), qnum(4)):
+        assert type(v.eval_at(2)) is Fraction
+        assert type(v.eval_at(Fraction(1, 3))) is Fraction
+
+
+def _random_ops(rng, pool, rounds):
+    """Seeded + - * / ** over a growing pool; yields (a, op, b, result)."""
+    ops = ("add", "sub", "mul", "div", "pow")
+    for _ in range(rounds):
+        a, b = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(ops)
+        if op == "add":
+            f = a + b
+        elif op == "sub":
+            f = a - b
+        elif op == "mul":
+            f = a * b
+        elif op == "div":
+            if b.is_zero:
+                continue
+            f = a / b
+        else:
+            b = rng.randint(-2, 3)
+            if a.is_zero and b < 0:
+                continue
+            f = a ** b
+        yield a, op, b, f
+        size = f.num[-1][0] - f.num[0][0] if f.num else 0
+        size += f.den[-1][0]
+        if len(pool) < 60 and size <= 8:
+            pool.append(f)
+
+
+def _seed_pool():
+    return [
+        ONE, Q, q_power(-2), scalar(Fraction(1, 2)), scalar(Fraction(-3, 7)),
+        Q - q_power(-1), qnum(3), ONE / (2 * Q + 3),
+        (Q * Q - scalar(Fraction(1, 2))) / (3 * Q - 1),
+        scalar(Fraction(-2, 5)) * Q + 6,
+    ]
+
+
+def test_representation_invariant_fuzz():
+    rng = random.Random(4242)
+    for _, _, _, f in _random_ops(rng, _seed_pool(), 800):
+        assert _canonical(f)
+        assert f.den[-1][1] == 1
+        assert [k for k, _ in f.num] == sorted({k for k, _ in f.num})
+        assert [k for k, _ in f.den] == sorted({k for k, _ in f.den})
+        # negation and inversion build coefficients too
+        assert _canonical(-f)
+        if not f.is_zero:
+            assert _canonical(f.inv())
+
+
+def test_scalar_layer_against_sympy():
+    """Every result equals sympy's cancelled quotient with a monic denominator,
+    and evaluates like it at rational points."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+
+    def poly(p):
+        return sympy.Poly.from_dict(
+            {(k,): sympy.Rational(c.numerator, c.denominator) for k, c in p}
+            or {(0,): 0}, x, domain="QQ")
+
+    def fraction(r):
+        return Fraction(int(r.p), int(r.q))
+
+    def terms(p, scale):
+        return tuple((k, fraction(c / scale))
+                     for (k,), c in sorted(p.terms()) if c)
+
+    rng = random.Random(20010)
+    points = (Fraction(2), Fraction(-1, 3), Fraction(5, 2))
+    checked = 0
+    for a, op, b, f in _random_ops(rng, _seed_pool(), 200):
+        na, da = poly(a.num), poly(a.den)
+        if op == "pow":
+            num, den = (na ** b, da ** b) if b >= 0 else (da ** -b, na ** -b)
+        else:
+            nb, db = poly(b.num), poly(b.den)
+            num, den = {
+                "add": (na * db + nb * da, da * db),
+                "sub": (na * db - nb * da, da * db),
+                "mul": (na * nb, da * db),
+                "div": (na * db, da * nb),
+            }[op]
+        c, num, den = sympy.cancel((num, den))
+        num, den = (sympy.Poly(e, x, domain="QQ") for e in (num, den))
+        lc = den.LC()
+        assert f.num == terms(num, lc / c)
+        assert f.den == terms(den, lc)
+        for v in points:
+            dv = den.eval(sympy.Rational(v.numerator, v.denominator))
+            if dv:
+                nv = num.eval(sympy.Rational(v.numerator, v.denominator))
+                assert f.eval_at(v) == fraction(c * nv / dv)
+        checked += 1
+    assert checked > 170

@@ -131,6 +131,10 @@ def _expand(mono):
     return tuple(out)
 
 
+def _unit(c):
+    return ONE if isinstance(c, QRational) and c.is_one else c
+
+
 class Presentation:
     """An ordered, finitely presented Z2-graded algebra over Q(q)."""
 
@@ -139,7 +143,12 @@ class Presentation:
         self.generators = tuple(generators)
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self._parities = tuple(g.parity for g in self.generators)
-        self._rules = dict(rules)
+        # coefficients equal to 1 become the ONE singleton, which the
+        # engine's `is ONE` shortcuts test for
+        self._rules = {
+            key: (_unit(lam), tuple((_unit(mu), word) for mu, word in corr))
+            for key, (lam, corr) in rules.items()
+        }
         # "derived" means every inverse-letter exchange rule is present; it is
         # vacuously true when nothing is invertible.
         self.derived = derived or not any(g.invertible for g in self.generators)
@@ -779,43 +788,20 @@ def is_central(x, names=None):
 # ---------------------------------------------------------------------------
 # rendering
 
-_UNICODE_NAMES = {
-    "alpha": "α",
-    "beta": "β",
-    "gamma": "γ",
-    "delta": "δ",
-    "xi": "ξ",
-    "eta": "η",
-}
+_GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ", "xi": "ξ", "eta": "η"}
 
-_LATEX_NAMES = {
-    "alpha": r"\alpha",
-    "beta": r"\beta",
-    "gamma": r"\gamma",
-    "delta": r"\delta",
-    "xi": r"\xi",
-    "eta": r"\eta",
+# style -> (greek display of a name or None, prime, separator, exponent
+# format).  Outside ascii a trailing "2", a second tensor factor's copy,
+# shows as a prime.
+_STYLES = {
+    "ascii": (None, "", "*", "^{}"),
+    "unicode": (_GREEK.get, "′", "*", "^{}"),
+    "latex": (lambda n: "\\" + n if n in _GREEK else None, "'", " ", "^{{{}}}"),
 }
 
 
-def _display_name(name, table, prime):
-    if len(name) > 1 and name.endswith("2"):
-        return table.get(name[:-1], name[:-1]) + prime
-    return table.get(name, name)
-
-
-def _coeff_str(mag, has_mono, solo_positive):
-    # mag has a positive leading numerator coefficient; the caller renders
-    # the sign.  Output must reparse as one factor when followed by "*".
-    if has_mono and mag.is_one:
-        return None
-    if mag.den == _PONE:
-        if len(mag.num) == 1 and mag.num[0][1] > 0:
-            return _pstr(mag.num)
-        if solo_positive and not has_mono:
-            return _pstr(mag.num)
-        return f"({_pstr(mag.num)})"
-    return str(mag)
+def _latex_poly(p):
+    return re.sub(r"\^(-?\d+)", r"^{\1}", _pstr(p)).replace("*", " ")
 
 
 def render_element(x, style="ascii"):
@@ -824,56 +810,42 @@ def render_element(x, style="ascii"):
     The default ascii style is the round-trip format accepted by the
     expression parser; ``unicode`` and ``latex`` are display-only styles.
     """
-    if style == "ascii":
-        return _render_plain(x, None, "", "*", lambda e: f"^{e}")
-    if style == "unicode":
-        return _render_plain(x, _UNICODE_NAMES, "′", "*", lambda e: f"^{e}")
-    if style == "latex":
-        return _render_plain(x, _LATEX_NAMES, "'", " ", lambda e: f"^{{{e}}}")
-    raise ValueError(f"unknown render style {style!r}")
-
-
-def _latex_poly(p):
-    return re.sub(r"\^(-?\d+)", r"^{\1}", _pstr(p)).replace("*", " ")
-
-
-def _latex_coeff(mag, has_mono):
-    if has_mono and mag.is_one:
-        return None
-    if mag.den == _PONE:
-        s = _latex_poly(mag.num)
-        return f"({s})" if len(mag.num) > 1 and has_mono else s
-    return rf"\frac{{{_latex_poly(mag.num)}}}{{{_latex_poly(mag.den)}}}"
-
-
-def _render_plain(x, names, prime, sep, pow_fmt):
-    if not x.terms:
-        return "0"
-    latex = sep == " "
-    solo = len(x.terms) == 1
+    if style not in _STYLES:
+        raise ValueError(f"unknown render style {style!r}")
+    greek, prime, sep, power = _STYLES[style]
+    latex = style == "latex"
+    names = []
+    for spec in x.pres.generators:
+        name, mark = spec.name, ""
+        if greek is not None and len(name) > 1 and name.endswith("2"):
+            name, mark = name[:-1], prime
+        names.append(((greek and greek(name)) or name) + mark)
     out = []
     for mono, coeff in x.terms:
+        # the sign is rendered apart from the magnitude, whose leading
+        # numerator coefficient is positive
         neg = coeff.num[-1][1] < 0
         mag = -coeff if neg else coeff
-        letters = []
-        for g, e in mono:
-            name = x.pres.generators[g].name
-            if names is not None:
-                name = _display_name(name, names, prime)
-            letters.append(name if e == 1 else name + pow_fmt(e))
-        mono_s = sep.join(letters)
-        if latex:
-            coeff_s = _latex_coeff(mag, bool(mono_s))
-        else:
-            coeff_s = _coeff_str(mag, bool(mono_s), solo and not neg)
-        if coeff_s is None:
-            body = mono_s
-        elif mono_s:
-            body = f"{coeff_s}{sep}{mono_s}"
-        else:
-            body = coeff_s
-        if not out:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
+        body = sep.join(
+            names[g] + ("" if e == 1 else power.format(e)) for g, e in mono
+        )
+        if not (body and mag.is_one):
+            if mag.den == _PONE:
+                c = (_latex_poly if latex else _pstr)(mag.num)
+                # a constant sum keeps its parentheses unless it stands
+                # alone; in ascii that means the only, positive, term, so
+                # that the text reparses as one factor
+                alone = not body and (latex or (len(x.terms) == 1 and not neg))
+                if len(mag.num) > 1 and not alone:
+                    c = f"({c})"
+            elif latex:
+                c = rf"\frac{{{_latex_poly(mag.num)}}}{{{_latex_poly(mag.den)}}}"
+            else:
+                c = str(mag)
+            body = f"{c}{sep}{body}" if body else c
+        if out:
+            out.append(" - " if neg else " + ")
+        elif neg:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"

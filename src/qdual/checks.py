@@ -267,24 +267,23 @@ def _c07_decomposition(ctx):
     return status, {}, witness
 
 
-def _c08_odd_powers(ctx):
+def _power_sweep(ctx, closed_form, offset):
+    """C08/C09: M^(2n - offset) against its closed form for n = 1..max_n."""
     pairs = []
     for n in range(1, ctx.max_n + 1):
-        want = sm.closed_form_odd(_dual(), n)
-        got = ctx.power(ctx.mat, 2 * n - 1)
+        want = closed_form(_dual(), n)
+        got = ctx.power(ctx.mat, 2 * n - offset)
         pairs += _entry_residuals(f"n={n}", got, want)
     status, witness = _residual_check(pairs)
     return status, {"max_n": ctx.max_n}, witness
+
+
+def _c08_odd_powers(ctx):
+    return _power_sweep(ctx, sm.closed_form_odd, 1)
 
 
 def _c09_even_powers(ctx):
-    pairs = []
-    for n in range(1, ctx.max_n + 1):
-        want = sm.closed_form_even(_dual(), n)
-        got = ctx.power(ctx.mat, 2 * n)
-        pairs += _entry_residuals(f"n={n}", got, want)
-    status, witness = _residual_check(pairs)
-    return status, {"max_n": ctx.max_n}, witness
+    return _power_sweep(ctx, sm.closed_form_even, 0)
 
 
 def _c10_odd_power_pattern(ctx):
@@ -338,58 +337,41 @@ def _c13_gl_power_parameter(ctx):
     return status, {"n": [2, 3, 4]}, witness
 
 
-def _c14_covariance_gl(ctx):
-    t1 = tensor(gl_algebra(), superplane())
-    t2 = tensor(gl_algebra(), dual_superplane())
-    outcomes = [
-        (
-            "plane coordinates",
-            sm.transform_plane(
-                sm.gl_generator_matrix(t1),
-                (t1.gen("x"), t1.gen("xi")),
-                "plane",
-                Q,
-            ),
-        ),
-        (
-            "dual-plane coordinates",
-            sm.transform_plane(
-                sm.gl_generator_matrix(t2),
-                (t2.gen("eta"), t2.gen("y")),
-                "dual_plane",
-                Q,
-            ),
-        ),
-    ]
+def _covariance(entries, generator_matrix, targets):
+    """C14/C15: transform the plane's (x, xi) and the dual plane's (eta, y).
+
+    ``targets`` gives (label, target relations) for the two planes in that
+    order; each plane is tensored with the entry algebra.
+    """
+    outcomes = []
+    for plane, coords, (label, target) in zip(
+        (superplane(), dual_superplane()), (("x", "xi"), ("eta", "y")), targets
+    ):
+        t = tensor(entries, plane)
+        mat = generator_matrix(t)
+        v = tuple(t.gen(name) for name in coords)
+        outcomes.append((label, sm.transform_plane(mat, v, target, Q)))
     status, witness = _outcome_check(outcomes)
     return status, {}, witness
+
+
+def _c14_covariance_gl(ctx):
+    return _covariance(
+        gl_algebra(),
+        sm.gl_generator_matrix,
+        (("plane coordinates", "plane"), ("dual-plane coordinates", "dual_plane")),
+    )
 
 
 def _c15_covariance_dual(ctx):
-    t1 = tensor(_dual(), superplane())
-    t2 = tensor(_dual(), dual_superplane())
-    outcomes = [
+    return _covariance(
+        _dual(),
+        sm.dual_generator_matrix,
         (
-            "plane coordinates -> dual-plane relations",
-            sm.transform_plane(
-                sm.dual_generator_matrix(t1),
-                (t1.gen("x"), t1.gen("xi")),
-                "dual_plane",
-                Q,
-            ),
+            ("plane coordinates -> dual-plane relations", "dual_plane"),
+            ("dual-plane coordinates -> plane relations", "plane"),
         ),
-        (
-            "dual-plane coordinates -> plane relations",
-            sm.transform_plane(
-                sm.dual_generator_matrix(t2),
-                (t2.gen("eta"), t2.gen("y")),
-                "plane",
-                Q,
-            ),
-        ),
-    ]
-    status, witness = _outcome_check(outcomes)
-    return status, {}, witness
+    )
 
 
 def _random_word(pres, rng, max_len=8):

@@ -79,9 +79,26 @@ def _style(args):
     return "ascii"
 
 
+def _emit(*lines):
+    """Print lines to stdout and flush.
+
+    A reader that has gone away (``qdual ... | head``) drops the rest of the
+    output silently; the command still ends with its own exit code.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull from here on, so the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_matrix(mat, style, prefix=""):
-    for slot, entry in zip(("e11", "e12", "e21", "e22"), mat.entries):
-        print(f"{prefix}{slot} = {render_element(entry, style)}")
+    _emit(*(f"{prefix}{slot} = {render_element(entry, style)}"
+            for slot, entry in zip(("e11", "e12", "e21", "e22"), mat.entries)))
 
 
 def _add_style_flags(sub):
@@ -156,7 +173,7 @@ def _closed_form_power(pres, n):
 
 def _cmd_nf(args):
     pres = _algebra_by_name(args.algebra)
-    print(render_element(parse_element(args.expr, pres), _style(args)))
+    _emit(render_element(parse_element(args.expr, pres), _style(args)))
     return 0
 
 
@@ -170,7 +187,7 @@ def _cmd_matpow(args):
         direct = sm.power(mat, args.n)
         closed = _closed_form_power(pres, args.n)
         verdict = "equal" if direct == closed else "different"
-        print(verdict)
+        _emit(verdict)
         _print_matrix(direct, style, prefix="direct.")
         _print_matrix(closed, style, prefix="closed.")
         return 0 if verdict == "equal" else 1
@@ -191,7 +208,7 @@ def _cmd_inverse(args):
 def _cmd_sdet(args):
     pres = _algebra_by_name("dual")
     mat = sm.dual_generator_matrix(pres)
-    print(render_element(sm.sdet(mat), _style(args)))
+    _emit(render_element(sm.sdet(mat), _style(args)))
     return 0
 
 
@@ -207,8 +224,7 @@ def _cmd_verify(args):
         raise AlgebraError(str(exc)) from None
     lines = machine_lines(reports) if args.fmt == "machine" \
         else text_lines(reports)
-    for line in lines:
-        print(line)
+    _emit(*lines)
     return 1 if has_failure(reports) else 0
 
 

@@ -5,6 +5,10 @@ entries alpha, delta; invertible even off-diagonal entries b, c), the entry
 algebra of an ordinary quantum supermatrix (even a, d; odd beta, gamma), the
 quantum superplane (x even, xi odd) and its dual (eta odd, y even).
 
+Each built-in is written in the descriptor format that
+:func:`load_presentation` reads, so it is the same object as a load of the
+same text under the same name.
+
 Constructions: super tensor products (disjoint copies that commute up to the
 Koszul sign), renamed copies for second tensor factors, derivation of the
 exchange rules for inverse letters, and a small text format for loading
@@ -32,22 +36,9 @@ from .algebra import (
     PresentationError,
 )
 from .parsing import ParseError, parse_raw_terms
-from .qfield import ONE, Q, QRational, q_power, scalar
+from .qfield import ONE, scalar
 
 _MINUS_ONE = -ONE
-_Q_BRACKET = Q - q_power(-1)  # q - q^-1
-
-
-def _rules_from_names(gens, table):
-    index = {g.name: i for i, g in enumerate(gens)}
-    rules = {}
-    for (hi, lo), (lam, corr) in table.items():
-        key = (index[hi], 1, index[lo], 1)
-        cooked = tuple(
-            (mu, tuple((index[n], 1) for n in word)) for mu, word in corr
-        )
-        rules[key] = (lam, cooked)
-    return rules
 
 
 @lru_cache(maxsize=None)
@@ -58,21 +49,21 @@ def dual_algebra():
     only non-trivial exchange is c*b = b*c - (q - q^-1)*delta*alpha; all other
     out-of-order pairs exchange with a plain power of q or a sign.
     """
-    gens = (
-        GeneratorSpec("alpha", ODD),
-        GeneratorSpec("delta", ODD),
-        GeneratorSpec("b", EVEN, invertible=True),
-        GeneratorSpec("c", EVEN, invertible=True),
+    return load_presentation(
+        """
+        generator alpha odd
+        generator delta odd
+        generator b even invertible
+        generator c even invertible
+        rule delta*alpha = -alpha*delta
+        rule b*alpha = q*alpha*b
+        rule b*delta = q*delta*b
+        rule c*alpha = q*alpha*c
+        rule c*delta = q*delta*c
+        rule c*b = b*c - (q - q^-1)*delta*alpha
+        """,
+        name="dual",
     )
-    table = {
-        ("delta", "alpha"): (_MINUS_ONE, ()),
-        ("b", "alpha"): (Q, ()),
-        ("b", "delta"): (Q, ()),
-        ("c", "alpha"): (Q, ()),
-        ("c", "delta"): (Q, ()),
-        ("c", "b"): (ONE, ((-_Q_BRACKET, ("delta", "alpha")),)),
-    }
-    return Presentation("dual", gens, _rules_from_names(gens, table))
 
 
 @lru_cache(maxsize=None)
@@ -82,37 +73,39 @@ def gl_algebra():
     beta, gamma are odd and nilpotent; a, d are even (not invertible here).
     The only non-trivial exchange is d*a = a*d - (q - q^-1)*gamma*beta.
     """
-    gens = (
-        GeneratorSpec("beta", ODD),
-        GeneratorSpec("gamma", ODD),
-        GeneratorSpec("a", EVEN),
-        GeneratorSpec("d", EVEN),
+    return load_presentation(
+        """
+        generator beta odd
+        generator gamma odd
+        generator a even
+        generator d even
+        rule gamma*beta = -beta*gamma
+        rule a*beta = q*beta*a
+        rule a*gamma = q*gamma*a
+        rule d*beta = q*beta*d
+        rule d*gamma = q*gamma*d
+        rule d*a = a*d - (q - q^-1)*gamma*beta
+        """,
+        name="gl",
     )
-    table = {
-        ("gamma", "beta"): (_MINUS_ONE, ()),
-        ("a", "beta"): (Q, ()),
-        ("a", "gamma"): (Q, ()),
-        ("d", "beta"): (Q, ()),
-        ("d", "gamma"): (Q, ()),
-        ("d", "a"): (ONE, ((-_Q_BRACKET, ("gamma", "beta")),)),
-    }
-    return Presentation("gl", gens, _rules_from_names(gens, table))
 
 
 @lru_cache(maxsize=None)
 def superplane():
     """Quantum superplane coordinates: x even, xi odd, x*xi = q*xi*x."""
-    gens = (GeneratorSpec("x", EVEN), GeneratorSpec("xi", ODD))
-    table = {("xi", "x"): (q_power(-1), ())}
-    return Presentation("plane", gens, _rules_from_names(gens, table))
+    return load_presentation(
+        "generator x even\ngenerator xi odd\nrule xi*x = q^-1*x*xi",
+        name="plane",
+    )
 
 
 @lru_cache(maxsize=None)
 def dual_superplane():
     """Dual superplane coordinates: eta odd, y even, y*eta = q*eta*y."""
-    gens = (GeneratorSpec("eta", ODD), GeneratorSpec("y", EVEN))
-    table = {("y", "eta"): (Q, ())}
-    return Presentation("dualplane", gens, _rules_from_names(gens, table))
+    return load_presentation(
+        "generator eta odd\ngenerator y even\nrule y*eta = q*eta*y",
+        name="dualplane",
+    )
 
 
 @lru_cache(maxsize=None)

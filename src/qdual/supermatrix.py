@@ -20,7 +20,7 @@ labelled A = e11, B = e12, C = e21, D = e22.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     AlgebraError,
@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .qfield import ONE, Q, _coerce, qnum
 
+_SLOTS = ("e11", "e12", "e21", "e22")
 _PARITY_PATTERN = {
     # fmt: (e11, e12, e21, e22)
     "gl": (EVEN, ODD, ODD, EVEN),
@@ -43,6 +44,7 @@ class MatrixFormatError(AlgebraError):
     """An entry's parity contradicts the declared matrix format."""
 
 
+@dataclass(frozen=True, slots=True)
 class SuperMatrix:
     """An immutable 2x2 matrix of algebra elements.
 
@@ -51,18 +53,17 @@ class SuperMatrix:
     compares entries only, never the tag.
     """
 
-    __slots__ = ("e11", "e12", "e21", "e22", "fmt")
+    e11: Element
+    e12: Element
+    e21: Element
+    e22: Element
+    fmt: str | None = field(default=None, compare=False)
 
-    def __init__(self, e11, e12, e21, e22, fmt=None):
-        entries = [e11, e12, e21, e22]
-        pres = None
-        for x in entries:
-            if isinstance(x, Element):
-                pres = x.pres
-                break
+    def __post_init__(self):
+        pres = next((x.pres for x in self.entries if isinstance(x, Element)), None)
         if pres is None:
             raise TypeError("at least one entry must be an algebra element")
-        for k, x in enumerate(entries):
+        for slot, x in zip(_SLOTS, self.entries):
             if isinstance(x, Element):
                 if x.pres is not pres:
                     raise AlgebraMismatchError(
@@ -72,25 +73,17 @@ class SuperMatrix:
             c = _coerce(x)
             if c is None:
                 raise TypeError(f"entry {x!r} is not an element or scalar")
-            entries[k] = pres.scalar(c)
-        if fmt is not None:
-            pattern = _PARITY_PATTERN.get(fmt)
+            object.__setattr__(self, slot, pres.scalar(c))
+        if self.fmt is not None:
+            pattern = _PARITY_PATTERN.get(self.fmt)
             if pattern is None:
-                raise ValueError(f"unknown matrix format {fmt!r}")
-            for x, want in zip(entries, pattern):
+                raise ValueError(f"unknown matrix format {self.fmt!r}")
+            for x, want in zip(self.entries, pattern):
                 got = x.parity()
                 if got is not None and got != want:
                     raise MatrixFormatError(
-                        f"entry parity {got} contradicts {fmt!r} format"
+                        f"entry parity {got} contradicts {self.fmt!r} format"
                     )
-        object.__setattr__(self, "e11", entries[0])
-        object.__setattr__(self, "e12", entries[1])
-        object.__setattr__(self, "e21", entries[2])
-        object.__setattr__(self, "e22", entries[3])
-        object.__setattr__(self, "fmt", fmt)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
 
     @property
     def pres(self):
@@ -105,14 +98,6 @@ class SuperMatrix:
 
     def __pow__(self, n):
         return power(self, n)
-
-    def __eq__(self, other):
-        if not isinstance(other, SuperMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"[[{self.e11}, {self.e12}], [{self.e21}, {self.e22}]]"
@@ -306,11 +291,14 @@ def closed_form_even(pres, n):
 
 @dataclass(frozen=True)
 class RelationResult:
-    """One relation instance: a name, whether it holds, and the residual."""
+    """One relation instance: a name and its residual, zero when it holds."""
 
     name: str
-    holds: bool
     residual: Element
+
+    @property
+    def holds(self):
+        return self.residual.is_zero
 
 
 @dataclass(frozen=True)
@@ -330,8 +318,10 @@ class CheckOutcome:
         return [r for r in self.relations if not r.holds]
 
 
-def _rel(name, residual):
-    return RelationResult(name, residual.is_zero, residual)
+def _outcome(*relations):
+    """The outcome of (name, residual) relations that must all hold."""
+    rels = tuple(RelationResult(name, r) for name, r in relations)
+    return CheckOutcome(all(r.holds for r in rels), rels)
 
 
 def check_dual_pattern(mat, p):
@@ -342,22 +332,22 @@ def check_dual_pattern(mat, p):
     B*C - C*B = (p - p^-1) * (product of D and A), testing the right-hand
     side in both the D*A and A*D orderings and recording which holds.
     """
-    a, b, c, d = mat.e11, mat.e12, mat.e21, mat.e22
+    a, b, c, d = mat.entries
     pi = p.inv()
     ad, da = a * d, d * a
-    base = [
-        _rel("A*B = p^-1*B*A", a * b - pi * (b * a)),
-        _rel("A*C = p^-1*C*A", a * c - pi * (c * a)),
-        _rel("D*B = p^-1*B*D", d * b - pi * (b * d)),
-        _rel("D*C = p^-1*C*D", d * c - pi * (c * d)),
-        _rel("A*D + D*A = 0", ad + da),
-        _rel("A*A = 0", a * a),
-        _rel("D*D = 0", d * d),
-    ]
+    base = _outcome(
+        ("A*B = p^-1*B*A", a * b - pi * (b * a)),
+        ("A*C = p^-1*C*A", a * c - pi * (c * a)),
+        ("D*B = p^-1*B*D", d * b - pi * (b * d)),
+        ("D*C = p^-1*C*D", d * c - pi * (c * d)),
+        ("A*D + D*A = 0", ad + da),
+        ("A*A = 0", a * a),
+        ("D*D = 0", d * d),
+    )
     bracket = b * c - c * b
     coeff = p - pi
-    r_da = _rel("B*C - C*B = (p - p^-1)*D*A", bracket - coeff * da)
-    r_ad = _rel("B*C - C*B = (p - p^-1)*A*D", bracket - coeff * ad)
+    r_da = RelationResult("B*C - C*B = (p - p^-1)*D*A", bracket - coeff * da)
+    r_ad = RelationResult("B*C - C*B = (p - p^-1)*A*D", bracket - coeff * ad)
     if r_da.holds and r_ad.holds:
         ordering = "both"
     elif r_da.holds:
@@ -366,8 +356,8 @@ def check_dual_pattern(mat, p):
         ordering = "AD"
     else:
         ordering = "neither"
-    ok = all(r.holds for r in base) and ordering != "neither"
-    return CheckOutcome(ok, tuple(base + [r_da, r_ad]), ordering)
+    ok = base.ok and ordering != "neither"
+    return CheckOutcome(ok, base.relations + (r_da, r_ad), ordering)
 
 
 def check_gl_pattern(mat, p):
@@ -376,19 +366,17 @@ def check_gl_pattern(mat, p):
     Verifies A*B = p*B*A (likewise A*C, D*B, D*C), B*C + C*B = 0,
     B^2 = C^2 = 0, and A*D - D*A = (p - p^-1)*C*B.
     """
-    a, b, c, d = mat.e11, mat.e12, mat.e21, mat.e22
-    coeff = p - p.inv()
-    rels = (
-        _rel("A*B = p*B*A", a * b - p * (b * a)),
-        _rel("A*C = p*C*A", a * c - p * (c * a)),
-        _rel("D*B = p*B*D", d * b - p * (b * d)),
-        _rel("D*C = p*C*D", d * c - p * (c * d)),
-        _rel("B*C + C*B = 0", b * c + c * b),
-        _rel("B*B = 0", b * b),
-        _rel("C*C = 0", c * c),
-        _rel("A*D - D*A = (p - p^-1)*C*B", a * d - d * a - coeff * (c * b)),
+    a, b, c, d = mat.entries
+    return _outcome(
+        ("A*B = p*B*A", a * b - p * (b * a)),
+        ("A*C = p*C*A", a * c - p * (c * a)),
+        ("D*B = p*B*D", d * b - p * (b * d)),
+        ("D*C = p*C*D", d * c - p * (c * d)),
+        ("B*C + C*B = 0", b * c + c * b),
+        ("B*B = 0", b * b),
+        ("C*C = 0", c * c),
+        ("A*D - D*A = (p - p^-1)*C*B", a * d - d * a - (p - p.inv()) * (c * b)),
     )
-    return CheckOutcome(all(r.holds for r in rels), rels)
 
 
 def transform_plane(mat, coords, target, p):
@@ -400,19 +388,17 @@ def transform_plane(mat, coords, target, p):
     expected relations are w1*w2 = p*w2*w1 and w2^2 = 0; for "dual_plane"
     they are w1^2 = 0 and w2*w1 = p*w1*w2.
     """
+    if target not in ("plane", "dual_plane"):
+        raise ValueError(f"unknown target {target!r}")
     v1, v2 = coords
     w1 = mat.e11 * v1 + mat.e12 * v2
     w2 = mat.e21 * v1 + mat.e22 * v2
     if target == "plane":
-        rels = (
-            _rel("w1*w2 = p*w2*w1", w1 * w2 - p * (w2 * w1)),
-            _rel("w2*w2 = 0", w2 * w2),
+        return _outcome(
+            ("w1*w2 = p*w2*w1", w1 * w2 - p * (w2 * w1)),
+            ("w2*w2 = 0", w2 * w2),
         )
-    elif target == "dual_plane":
-        rels = (
-            _rel("w1*w1 = 0", w1 * w1),
-            _rel("w2*w1 = p*w1*w2", w2 * w1 - p * (w1 * w2)),
-        )
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    return CheckOutcome(all(r.holds for r in rels), rels)
+    return _outcome(
+        ("w1*w1 = 0", w1 * w1),
+        ("w2*w1 = p*w1*w2", w2 * w1 - p * (w1 * w2)),
+    )

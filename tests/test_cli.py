@@ -1,6 +1,9 @@
 """The qdual command-line interface, driven through main(argv)."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -260,3 +263,27 @@ def test_verify_machine_output_at_n12_matches_the_recorded_run(capsys):
     )
     assert code == 0 and err == ""
     assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_is_silent_and_keeps_the_exit_code(unbuffered):
+    # `qdual matpow --n 3 --compare | head -3` without a race: the read end
+    # of the pipe is closed before the command writes anything
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdual.cli", "matpow", "--n", "3", "--compare"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

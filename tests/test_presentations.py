@@ -2,6 +2,7 @@
 
 import pytest
 
+from qdual import cli
 from qdual.algebra import EVEN, ODD, PresentationError, render_element
 from qdual.presentations import (
     derive_inverse_rules,
@@ -14,7 +15,7 @@ from qdual.presentations import (
     superplane,
     tensor,
 )
-from qdual.qfield import Q, q_power
+from qdual.qfield import ONE, Q, q_power
 
 
 def test_builtin_shapes():
@@ -42,6 +43,41 @@ def test_builtins_are_cached():
     assert tensor(gl_algebra(), superplane(), name="gp") is not t
     pair = tensor(d, rename(d, "2"), name="dualxdual")
     assert tensor(d, rename(d, "2"), name="dualxdual") is pair
+
+
+# the dual entry algebra as the README quotes it
+DUAL_TEXT = """
+generator alpha odd
+generator delta odd
+generator b even invertible
+generator c even invertible
+rule delta*alpha = -alpha*delta
+rule b*alpha = q*alpha*b
+rule b*delta = q*delta*b
+rule c*alpha = q*alpha*c
+rule c*delta = q*delta*c
+rule c*b = b*c - (q - q^-1)*delta*alpha
+"""
+
+
+def test_builtins_are_descriptor_loads():
+    assert load_presentation(DUAL_TEXT, name="dual") is dual_algebra()
+
+
+def test_unit_coefficients_are_the_one_singleton():
+    # the engine skips multiplications by `is ONE`; a unit coefficient that
+    # is a fresh object (parsed, or from lam.inv()) makes it do them all
+    algebras = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
+    algebras.append(derive_inverse_rules(load_presentation(DUAL_TEXT, "copy")))
+    units = [
+        (pres.name, c)
+        for pres in algebras
+        for lam, corr in pres._rules.values()
+        for c in (lam, *(mu for mu, _ in corr))
+        if c == ONE
+    ]
+    assert units
+    assert [name for name, c in units if c is not ONE] == []
 
 
 def test_derive_inverse_rules_is_idempotent():

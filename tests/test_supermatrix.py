@@ -75,6 +75,8 @@ def test_immutability_and_equality():
         MAT.e11 = DDUAL.zero()
     assert MAT == dual_generator_matrix(DDUAL)
     assert hash(MAT) == hash(dual_generator_matrix(DDUAL))
+    untagged = SuperMatrix(*MAT.entries)
+    assert untagged.fmt is None and untagged == MAT and hash(untagged) == hash(MAT)
     assert MAT != GLMAT
 
 
@@ -238,3 +240,6 @@ def test_transform_guards():
     coords = (t.gen("x"), t.gen("xi"))
     with pytest.raises(ValueError):
         transform_plane(mat, coords, "torus", Q)
+    # the target is checked before any product is formed
+    with pytest.raises(ValueError):
+        transform_plane(mat, (None, None), "torus", Q)

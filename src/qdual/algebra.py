@@ -832,10 +832,10 @@ def render_element(x, style="ascii"):
         if not (body and mag.is_one):
             if mag.den == _PONE:
                 c = (_latex_poly if latex else _pstr)(mag.num)
-                # a constant sum keeps its parentheses unless it stands
-                # alone; in ascii that means the only, positive, term, so
-                # that the text reparses as one factor
-                alone = not body and (latex or (len(x.terms) == 1 and not neg))
+                # a constant sum keeps its parentheses unless it is the
+                # only, positive, term, so that a sign in front of it
+                # applies to all of it and the ascii text reparses
+                alone = not body and len(x.terms) == 1 and not neg
                 if len(mag.num) > 1 and not alone:
                     c = f"({c})"
             elif latex:

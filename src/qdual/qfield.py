@@ -1,10 +1,25 @@
 """Exact arithmetic in Q(q), the rational functions of the deformation parameter.
 
 Every scalar in this package is a :class:`QRational`: a quotient of univariate
-polynomials in q with exact rational coefficients.  Each value is reduced by
-a polynomial gcd on construction and the denominator is kept monic, so two
-equal rational functions are structurally equal (identical term tuples).  The
-zero value has the unique representation 0/1.
+polynomials in q with exact rational coefficients.  Each value is reduced and
+its denominator is kept monic, so two equal rational functions are
+structurally equal (identical term tuples).  The zero value has the unique
+representation 0/1.
+
+The general path reduces by a polynomial gcd.  These fast paths skip it, and
+each returns the same canonical (num, den) tuples, since a reduced value with
+a monic denominator is unique:
+
+* a product with a Laurent monomial c*q^k can only cancel a power of q, so
+  it shifts exponents and scales by c;
+* a polynomial product with a one-term factor is a shift and a scale;
+* a sum over one shared denominator adds the numerators (and needs no
+  reduction when that denominator is 1); a sum of polynomials whose degree
+  ranges do not overlap concatenates them;
+* :func:`qnum` builds its polynomial directly.
+
+Division runs on a dense coefficient list, and evaluation uses Horner's rule
+on integers scaled by a power of the point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -56,6 +71,10 @@ def _pnorm(d):
 
 
 def _padd(a, b):
+    if not a or not b or a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     d = dict(a)
     for k, v in b:
         nv = d.get(k, 0) + v
@@ -81,6 +100,12 @@ def _pshift(a, n):
 def _pmul(a, b):
     if not a or not b:
         return _PZERO
+    if len(a) == 1 or len(b) == 1:
+        # a one-term operand shifts and scales the other
+        if len(a) != 1:
+            a, b = b, a
+        (k, c), = a
+        return tuple((kb + k, _coef(c * vb)) for kb, vb in b)
     d = {}
     for ka, va in a:
         for kb, vb in b:
@@ -90,32 +115,41 @@ def _pmul(a, b):
 
 
 def _peval(a, v):
-    acc = Fraction(0)
-    for k, c in a:
-        acc += c * v ** k
-    return acc
+    # Horner's rule over the sparse terms, from the top degree down, on
+    # v = p/s scaled by s^deg so that integer coefficients stay integers
+    if not a:
+        return Fraction(0)
+    p, s = v.numerator, v.denominator
+    k, acc = a[-1]
+    scale = 1
+    for j, c in reversed(a[:-1]):
+        scale *= s ** (k - j)
+        acc = acc * p ** (k - j) + c * scale
+        k = j
+    return Fraction(acc * p ** k, scale * s ** k)
 
 
 def _pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    db, lb = b[-1][0], b[-1][1]
-    q = {}
-    r = dict(a)
-    while r:
-        k = max(r)
-        if k < db:
-            break
-        c = _cdiv(r[k], lb)
-        q[k - db] = c
-        for kb, vb in b:
-            kk = kb + k - db
-            nv = r.get(kk, 0) - c * vb
-            if nv:
-                r[kk] = nv
-            else:
-                r.pop(kk, None)
-    return _pnorm(q), _pnorm(r)
+    if not a:
+        return _PZERO, _PZERO
+    db, lb = b[-1]
+    # the remainder as a dense list, r[i] the coefficient of q^(lo + i)
+    lo = min(a[0][0], b[0][0])
+    r = [0] * (a[-1][0] - lo + 1)
+    for k, v in a:
+        r[k - lo] = v
+    tail = [(kb - db, vb) for kb, vb in b[:-1]]
+    q = []
+    for i in range(len(r) - 1, db - lo - 1, -1):
+        if r[i]:
+            c = _cdiv(r[i], lb)
+            q.append((i + lo - db, c))
+            for j, vb in tail:
+                r[i + j] -= c * vb
+    rem = tuple((i + lo, _coef(v)) for i, v in enumerate(r[:db - lo]) if v)
+    return tuple(reversed(q)), rem
 
 
 def _pmonic(a):
@@ -218,6 +252,11 @@ class QRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            num = _padd(self.num, other.num)
+            if self.den != _PONE:
+                return QRational._make(num, self.den)
+            return QRational(num, _PONE) if num else ZERO
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return QRational._make(num, _pmul(self.den, other.den))
 
@@ -244,6 +283,20 @@ class QRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        a, b = self, other
+        if len(b.num) == len(b.den) == 1:
+            a, b = b, a
+        if len(a.num) == len(a.den) == 1:
+            # c*q^k * N/D, with N/D reduced, can only cancel a power of q:
+            # q^min(k, low D) for k >= 0, q^min(-k, low N) for k < 0.  The
+            # result is c*q^(k-m)*N / (q^-m*D) for the m below
+            if not b.num:
+                return ZERO
+            (k, c), = a.num
+            k -= a.den[0][0]
+            n, d = b.num, b.den
+            m = min(k, d[0][0]) if k >= 0 else min(0, k + n[0][0])
+            return QRational(_pmul(((k - m, c),), n), _pshift(d, -m) if m else d)
         return QRational._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__
@@ -288,7 +341,7 @@ class QRational:
         Returns a ``Fraction``.  Raises :class:`PoleError` if v is a zero of
         the denominator.
         """
-        v = Fraction(v)
+        v = _exact(v)
         d = _peval(self.den, v)
         if not d:
             raise PoleError(f"pole at q = {v}")
@@ -327,9 +380,18 @@ def _coerce(v):
     return None
 
 
+def _exact(v):
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(v).__name__}")
+    return v
+
+
 def scalar(v):
-    """The constant rational function with value v (int or Fraction)."""
-    v = _coef(Fraction(v))
+    """The constant rational function with value v (int or Fraction).
+
+    Raises ``TypeError`` for anything else: a float is not exact.
+    """
+    v = _coef(_exact(v))
     if not v:
         return ZERO
     return QRational(((0, v),), _PONE)
@@ -359,6 +421,4 @@ def qnum(n, k=1):
         raise ValueError("qnum requires k >= 1")
     if n == 0:
         return ZERO
-    num = _padd(_PONE, ((2 * k * n, -1),))
-    den = _padd(_PONE, ((2 * k, -1),))
-    return QRational._make(num, den)
+    return QRational(tuple((2 * k * j, 1) for j in range(n)), _PONE)

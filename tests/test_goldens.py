@@ -166,6 +166,17 @@ def test_render_golden():
     assert render_lines() == _golden(RENDER_GOLDEN)
 
 
+def test_latex_keeps_the_parentheses_of_a_subtracted_constant_sum():
+    # a sign or a neighbouring term must not change what the sum means
+    dual = _algebras()["dual"]
+    for expr, latex in (
+        ("b - q - 1", "b - (q + 1)"),
+        ("(q+1)*b - (q+1)", "(q + 1) b - (q + 1)"),
+        ("-(q + 1)", "-(q + 1)"),
+    ):
+        assert render_element(parse_element(expr, dual), "latex") == latex
+
+
 def test_witness_golden():
     lines = witness_lines()
     assert lines == _golden(WITNESS_GOLDEN)

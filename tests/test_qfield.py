@@ -1,6 +1,7 @@
 """Exact arithmetic in the field of rational functions of q."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,11 @@ from qdual.qfield import (
     ONE,
     PoleError,
     Q,
+    QRational,
     ZERO,
+    _padd,
+    _pdivmod,
+    _pmul,
     q_power,
     qnum,
     scalar,
@@ -277,3 +282,181 @@ def test_scalar_layer_against_sympy():
                 assert f.eval_at(v) == fraction(c * nv / dv)
         checked += 1
     assert checked > 170
+
+
+# -- the fast paths against the general algorithms ---------------------------
+#
+# Each fast path must return the same canonical (num, den) tuples as the
+# general path, with the same coefficient types.  The oracles below are the
+# plain dict algorithms the fast paths replace.
+
+
+def _canon(d):
+    return tuple(
+        (k, int(v) if Fraction(v).denominator == 1 else Fraction(v))
+        for k, v in sorted(d.items()) if v
+    )
+
+
+def _dict_pmul(a, b):
+    d = {}
+    for ka, va in a:
+        for kb, vb in b:
+            d[ka + kb] = d.get(ka + kb, 0) + va * vb
+    return _canon(d)
+
+
+def _dict_padd(a, b):
+    d = dict(a)
+    for k, v in b:
+        d[k] = d.get(k, 0) + v
+    return _canon(d)
+
+
+def _dict_pdivmod(a, b):
+    db, lb = b[-1]
+    q, r = {}, dict(a)
+    while r:
+        k = max(r)
+        if k < db:
+            break
+        c = Fraction(r[k]) / lb
+        q[k - db] = c
+        for kb, vb in b:
+            nv = r.get(kb + k - db, 0) - c * vb
+            if nv:
+                r[kb + k - db] = nv
+            else:
+                r.pop(kb + k - db, None)
+    return _canon(q), _canon(r)
+
+
+def _general_mul(a, b):
+    return QRational._make(_dict_pmul(a.num, b.num), _dict_pmul(a.den, b.den))
+
+
+def _general_add(a, b):
+    num = _dict_padd(_dict_pmul(a.num, b.den), _dict_pmul(b.num, a.den))
+    return QRational._make(num, _dict_pmul(a.den, b.den))
+
+
+def _structure(f):
+    return f.num, f.den, [type(c) for _, c in f.num + f.den]
+
+
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4))
+
+
+def _random_poly(rng, degree, terms):
+    d = {rng.randint(0, degree): rng.choice(_COEFFS) for _ in range(terms)}
+    return _canon(d)
+
+
+def _laurent_monomial(c, k):
+    if k >= 0:
+        return QRational(((k, c),), ((0, 1),))
+    return QRational(((0, c),), ((-k, 1),))
+
+
+def _fast_path_pool(rng):
+    pool = [ZERO, ONE, Q, q_power(-3), qnum(3), scalar(Fraction(2, 3))]
+    pool += [_laurent_monomial(c, k) for c in _COEFFS for k in (-4, -1, 0, 2, 5)]
+    for _ in range(40):
+        # numerators and denominators divisible by powers of q
+        num = _random_poly(rng, 5, 3)
+        den = _random_poly(rng, 4, 3) or ((0, 1),)
+        i, j = rng.randint(0, 3), rng.randint(0, 3)
+        pool.append(QRational._make(
+            tuple((k + i, c) for k, c in num), tuple((k + j, c) for k, c in den)
+        ))
+    return pool
+
+
+def test_fast_paths_match_the_general_path_fuzz():
+    rng = random.Random(70001)
+    pool = _fast_path_pool(rng)
+    for _ in range(600):
+        a = rng.choice(pool)
+        if rng.random() < 0.3:
+            # a shared denominator
+            b = QRational._make(_random_poly(rng, 6, 3), a.den)
+        else:
+            b = rng.choice(pool)
+        assert _structure(a * b) == _structure(_general_mul(a, b))
+        assert _structure(a + b) == _structure(_general_add(a, b))
+        assert _structure(a - b) == _structure(_general_add(a, -b))
+        if b:
+            inverse = QRational._make(b.den, b.num)
+            assert _structure(a / b) == _structure(_general_mul(a, inverse))
+
+
+def test_polynomial_kernels_match_the_dict_algorithms():
+    rng = random.Random(70002)
+    for _ in range(600):
+        a = _random_poly(rng, 12, rng.randint(0, 6))
+        b = _random_poly(rng, 6, rng.randint(1, 4))
+        one_term = _random_poly(rng, 6, 1)
+        for x, y in ((a, b), (b, a), (one_term, a), (a, one_term)):
+            assert _pmul(x, y) == _dict_pmul(x, y)
+            assert _padd(x, y) == _dict_padd(x, y)
+            assert [type(c) for _, c in _pmul(x, y)] == [
+                type(c) for _, c in _dict_pmul(x, y)
+            ]
+        # integer inputs keep the quotient and the remainder integral
+        # wherever the exact values are
+        ints = tuple((k, int(c * 28)) for k, c in a)
+        for x, y in ((a, b), (ints, b), (ints, one_term), (b, a), ((), b)):
+            if not y:
+                continue
+            got = _pdivmod(x, y)
+            assert got == _dict_pdivmod(x, y)
+            assert [type(c) for _, c in got[0] + got[1]] == [
+                type(c) for _, c in sum(_dict_pdivmod(x, y), ())
+            ]
+
+
+def test_qnum_is_the_reduced_quotient():
+    for k in range(1, 5):
+        for n in range(41):
+            num = ((0, 1), (2 * k * n, -1)) if n else ()
+            expected = QRational._make(num, ((0, 1), (2 * k, -1)))
+            assert _structure(qnum(n, k)) == _structure(expected)
+
+
+def _plain_value(poly, v):
+    return sum((Fraction(c) * v ** k for k, c in poly), Fraction(0))
+
+
+def test_eval_at_matches_plain_fraction_sums():
+    rng = random.Random(70003)
+    points = (0, 1, -1, 2, Fraction(-1, 3), Fraction(5, 7), Fraction(1, 2))
+    pool = _fast_path_pool(rng)
+    for v in points[1:]:
+        # a denominator vanishing at v
+        pool.append(ONE / (Q - v) + rng.choice(pool))
+        pool.append(rng.choice(pool) / ((Q - v) * (Q * Q + 1)))
+    poles = 0
+    for f in pool:
+        for v in points:
+            den = _plain_value(f.den, Fraction(v))
+            if not den:
+                poles += 1
+                with pytest.raises(PoleError):
+                    f.eval_at(v)
+                continue
+            got = f.eval_at(v)
+            assert type(got) is Fraction
+            assert got == _plain_value(f.num, Fraction(v)) / den
+    assert poles >= 12
+
+
+def test_only_exact_values_are_accepted():
+    for bad in (0.1, 0.5, 2.0, "1/2", None, Decimal("0.5"), 1j):
+        with pytest.raises(TypeError):
+            scalar(bad)
+        with pytest.raises(TypeError):
+            Q.eval_at(bad)
+        with pytest.raises(TypeError):
+            Q * bad
+    assert scalar(Fraction(6, 3)).num == ((0, 2),)
+    assert Q.eval_at(Fraction(1, 3)) == Fraction(1, 3)

@@ -14,28 +14,35 @@ Elements are finite Q(q)-linear combinations of normal-ordered monomials
 g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
 plain even in N).
 
-One engine computes every normal form: a multiplication table in the manner
+One engine computes every normal form: multiplication tables in the manner
 of Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps
-a lazily filled map from (normal-form monomial m, letter x) to the normal
-form of m*x at unit coefficient.  The built-in presentations and their
-constructions are memoised (see :mod:`qdual.presentations`), so there is
-one table per presentation and it lives for the whole process.  A word, or
-a product of monomials, is folded in letter by letter through the table;
-letters that sort after the monomial or merge with its last exponent join
-it directly.  A missing entry is built from smaller ones: with m = r * g^s
-and the exchange rule g^s * x = lam * x * g^s + sum mu * u, the entry is
-lam * (r*x)*g^s + sum mu * r*u, each folded through the table again.  The
-misses run on an explicit stack, so exponents in the thousands need no
-deep recursion, and every rule applied counts against a step cap.
+two lazily filled maps, both at unit coefficient: the letter table, from
+(normal-form monomial m, letter x) to the normal form of m*x, and the pair
+table, from two normal-form monomials (m1, m2) to the normal form of m1*m2.
+The built-in presentations and their constructions are memoised (see
+:mod:`qdual.presentations`), so there is one pair of tables per
+presentation and they live for the whole process.  A word is folded in
+letter by letter through the letter table; letters that sort after the
+monomial or merge with its last exponent join it directly.  A product of
+two elements looks each out-of-order pair of monomials up in the pair
+table; on a miss it folds m2 into m1 letter by letter and stores the rows,
+which each later product scales by its coefficient.  A missing letter
+entry is built from smaller ones: with m = r * g^s and the exchange rule
+g^s * x = lam * x * g^s + sum mu * u, the entry is
+lam * (r*x)*g^s + sum mu * r*u, each folded through the letter table
+again.  The misses run on an explicit stack, so exponents in the
+thousands need no deep recursion, and every rule applied counts against a
+step cap.
 
-Entries are keyed on the part of m above x when the part split off below
-it is even: ``b^j c^-9 * b`` reuses the entry for ``c^-9 * b`` for every j.
-When that part holds an odd letter the key is the whole monomial, because
-its odd letters are what make some corrections vanish (for the derived
-rule of ``c^-1 * b^-1`` they stop the correction from recreating its own
-redex).  As in whole-word rewriting, a product that repeats an odd letter
-is zero; validation rejects any correction that drops an odd letter of its
-exchanged pair, which is what makes that sound.
+Letter-table entries are keyed on the part of m above x when the part
+split off below it is even: ``b^j c^-9 * b`` reuses the entry for
+``c^-9 * b`` for every j.  When that part holds an odd letter the key is
+the whole monomial, because its odd letters are what make some
+corrections vanish (for the derived rule of ``c^-1 * b^-1`` they stop the
+correction from recreating its own redex).  As in whole-word rewriting, a
+product that repeats an odd letter is zero; validation rejects any
+correction that drops an odd letter of its exchanged pair, which is what
+makes that sound.
 
 Folding letter by letter gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form`
@@ -45,9 +52,9 @@ confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
 oracle.
 
-Elements are immutable.  The tables are the only shared mutable state:
-threads may share elements and presentations, and concurrent misses only
-compute identical entries twice.
+Elements are immutable.  The two tables are the only shared mutable
+state: threads may share elements and presentations, and concurrent misses
+in either table only compute identical entries twice.
 """
 
 from __future__ import annotations
@@ -159,6 +166,10 @@ class Presentation:
         # (normal-form monomial, letter) -> normal form of their product at
         # unit coefficient; filled lazily by _run
         self._mul_table = {}
+        # (normal-form monomial, normal-form monomial) -> their product's
+        # (monomial, coefficient) rows at unit coefficient; filled lazily by
+        # Element.__mul__
+        self._pair_table = {}
 
     # -- validation -------------------------------------------------------
 
@@ -516,16 +527,23 @@ class Element:
             return Element(self.pres, tuple((m, k * c) for m, k in self.terms))
         self._check(other)
         pres = self.pres
+        pairs = pres._pair_table
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                 m = _concat(pres, m1, m2)
                 if m is _NEEDS_REWRITE:
-                    prod = _run(pres, _fold(pres, {m1: c}, _expand(m2)))
-                    for mo, k in prod.items():
+                    row = pairs.get((m1, m2))
+                    if row is None:
+                        row = tuple(
+                            _run(pres, _fold(pres, {m1: ONE}, _expand(m2))).items()
+                        )
+                        pairs[m1, m2] = row
+                    for mo, k in row:
+                        kk = k if c is ONE else c if k is ONE else c * k
                         c0 = acc.get(mo)
-                        acc[mo] = k if c0 is None else c0 + k
+                        acc[mo] = kk if c0 is None else c0 + kk
                 elif m is not None:
                     c0 = acc.get(m)
                     acc[m] = c if c0 is None else c0 + c

@@ -16,6 +16,7 @@ a monic denominator is unique:
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
   ranges do not overlap concatenates them;
+* a power raises the numerator and the denominator apart;
 * :func:`qnum` builds its polynomial directly.
 
 Division runs on a dense coefficient list, and evaluation uses Horner's rule
@@ -112,6 +113,18 @@ def _pmul(a, b):
             k = ka + kb
             d[k] = d.get(k, 0) + va * vb
     return _pnorm(d)
+
+
+def _ppow(a, k):
+    # a^k for k >= 1 by repeated squaring
+    out = _PONE
+    while True:
+        if k & 1:
+            out = _pmul(out, a)
+        k >>= 1
+        if not k:
+            return out
+        a = _pmul(a, a)
 
 
 def _peval(a, v):
@@ -324,14 +337,13 @@ class QRational:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if not k:
+            return ONE
+        if not self.num:
+            return ZERO
+        # a power of a reduced value is reduced and a power of a monic
+        # denominator is monic, so num and den are raised apart, with no gcd
+        return QRational(_ppow(self.num, k), _ppow(self.den, k))
 
     # -- evaluation -----------------------------------------------------
 

@@ -4,7 +4,13 @@ The frozen expected strings in this file were computed independently by
 hand from the exchange rules before the engine produced them.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +302,7 @@ def test_long_exponent_misses_need_no_recursion():
 
 def test_cold_long_product_fills_a_bounded_table(monkeypatch):
     monkeypatch.setattr(DDUAL, "_mul_table", {})
+    monkeypatch.setattr(DDUAL, "_pair_table", {})
     got = DDUAL.gen("c", 40) * DDUAL.gen("b", 40)
     assert len(got.terms) == 2
     # 1482 of the entries are (alpha delta b^j c^i)*b, whose odd letters
@@ -340,6 +347,7 @@ def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     # normal_form reads the multiplication table too, and the fuzz tests
     # fill it: start cold so the word needs a rule application
     monkeypatch.setattr(DDUAL, "_mul_table", {})
+    monkeypatch.setattr(DDUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError) as err:
         DDUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
     assert str(err.value) == (
@@ -348,8 +356,97 @@ def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     )
     # a table miss inside a product rewrites through the same capped engine
     monkeypatch.setattr(DDUAL, "_mul_table", {})
+    monkeypatch.setattr(DDUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError, match=r"length 4, .* rule for c\*b$"):
         DDUAL.gen("c", 3) * DDUAL.gen("b", 3)
+
+
+# -- the whole-monomial product table -----------------------------------------
+
+# scalars with Fraction and non-monic numerators and denominators
+_SCALES = (
+    scalar(Fraction(3, 7)) * Q,
+    2 * Q + 3,
+    (3 * Q - 1) / (2 * Q + Fraction(1, 5)),
+    scalar(Fraction(-5, 2)) / (Q * Q + Q),
+)
+
+
+def _pair_table_algebras():
+    presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
+    presentations.append(derive_inverse_rules(load_presentation(TWIST)))
+    return presentations
+
+
+def test_pair_table_products_match_whole_word_rewriting_fuzz(monkeypatch):
+    rng = random.Random(88001)
+    for pres in _pair_table_algebras():
+        monkeypatch.setattr(pres, "_pair_table", {})
+        cases = []
+        for _ in range(30):
+            x = rng.choice(_SCALES) * random_element(pres, rng, 3, 4)
+            y = random_element(pres, rng, 3, 4) * rng.choice(_SCALES)
+            cases.append((x, y, _whole_word_product(x, y)))
+        for x, y, want in cases:
+            assert x * y == want  # cold pair table
+        assert pres._pair_table
+        for x, y, want in cases:
+            assert x * y == want  # warm pair table
+
+
+def test_pair_table_rows_can_cancel_to_zero(monkeypatch):
+    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    # alpha b * delta b = q alpha delta b^2 and delta b * alpha b is its
+    # negative; alpha b * alpha b repeats an odd letter
+    x = scalar(Fraction(3, 7)) * Q * (
+        DDUAL.normal_form([("alpha", 1), ("b", 1)])
+        + DDUAL.normal_form([("delta", 1), ("b", 1)])
+    )
+    assert (x * x).terms == ()
+    rows = [row for row in DDUAL._pair_table.values() if row]
+    assert len(rows) == 2
+    assert rows[0][0][0] == rows[1][0][0]
+
+
+def test_repeated_product_adds_no_table_entry():
+    rng = random.Random(88002)
+    for pres in _pair_table_algebras():
+        x = random_element(pres, rng, 3, 5)
+        y = random_element(pres, rng, 3, 5)
+        first = x * y
+        sizes = len(pres._mul_table), len(pres._pair_table)
+        assert (x * y).terms == first.terms
+        assert (len(pres._mul_table), len(pres._pair_table)) == sizes
+
+
+def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
+    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    s = scalar(Fraction(3, 7)) * Q
+    x = DDUAL.normal_form([("c", 3), ("alpha", 1)]) + DDUAL.gen("delta")
+    y = DDUAL.gen("b", 2) + DDUAL.normal_form([("alpha", 1), ("b", -1)])
+    scaled = (s * x) * y
+    assert DDUAL._pair_table
+    for (m1, m2), row in DDUAL._pair_table.items():
+        want = _whole_word_nf(DDUAL, m1 + m2)
+        assert DDUAL._element(dict(row)).terms == want.terms
+    assert scaled.terms == (s * (x * y)).terms
+
+
+def test_cold_suite_at_n20():
+    # a fresh interpreter starts with every table empty, and n=20 reaches
+    # larger monomials than the n=6 and n=12 goldens
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdual.cli", "verify", "--max-n", "20",
+         "--format", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=True,
+    )
+    assert proc.stderr == b""
+    rows = [json.loads(line) for line in proc.stdout.decode().splitlines()]
+    statuses = [r["status"] for r in rows]
+    assert statuses == ["pass"] * 16 + ["anomaly"]
+    assert rows[-1]["check_id"] == "C17"
+    assert rows[-1]["params"]["ordering"] == "DA"
 
 
 def test_normal_form_is_idempotent_fuzz():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdual import qfield
 from qdual.qfield import (
     ONE,
     PoleError,
@@ -421,6 +422,36 @@ def test_qnum_is_the_reduced_quotient():
             num = ((0, 1), (2 * k * n, -1)) if n else ()
             expected = QRational._make(num, ((0, 1), (2 * k, -1)))
             assert _structure(qnum(n, k)) == _structure(expected)
+
+
+def test_powers_match_repeated_products(monkeypatch):
+    rng = random.Random(70004)
+    pool = _fast_path_pool(rng)
+    pool += [(3 * Q - 1) / (2 * Q + Fraction(1, 5)), (Q + 2) / (Q - 3)]
+    for f in pool:
+        for k in range(-3, 7):
+            if k < 0 and not f:
+                continue
+            base = f if k >= 0 else f.inv()
+            want = ONE
+            for _ in range(abs(k)):
+                want = want * base
+            assert _structure(f ** k) == _structure(want)
+    assert ZERO ** 5 is ZERO and ZERO ** 0 is ONE
+    # a power of a reduced value is reduced: no multi-term gcd runs
+    f = (Q + 2) / (Q - 3)
+    multi_term = []
+    pgcd = qfield._pgcd
+
+    def counted(a, b):
+        if len(a) > 1 and len(b) > 1:
+            multi_term.append((a, b))
+        return pgcd(a, b)
+
+    monkeypatch.setattr(qfield, "_pgcd", counted)
+    got = f ** 40
+    assert multi_term == []
+    assert got * f ** -40 == ONE and got.den[-1][1] == 1
 
 
 def _plain_value(poly, v):

@@ -531,7 +531,8 @@ class Element:
         acc = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                # the coefficient is formed only once the monomial product
+                # is known to be nonzero: most products repeat an odd letter
                 m = _concat(pres, m1, m2)
                 if m is _NEEDS_REWRITE:
                     row = pairs.get((m1, m2))
@@ -540,11 +541,15 @@ class Element:
                             _run(pres, _fold(pres, {m1: ONE}, _expand(m2))).items()
                         )
                         pairs[m1, m2] = row
+                    if not row:
+                        continue
+                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                     for mo, k in row:
                         kk = k if c is ONE else c if k is ONE else c * k
                         c0 = acc.get(mo)
                         acc[mo] = kk if c0 is None else c0 + kk
                 elif m is not None:
+                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
                     c0 = acc.get(m)
                     acc[m] = c if c0 is None else c0 + c
         return pres._element(acc)

@@ -13,14 +13,23 @@ a monic denominator is unique:
 * a product with a Laurent monomial c*q^k can only cancel a power of q, so
   it shifts exponents and scales by c;
 * a polynomial product with a one-term factor is a shift and a scale;
+* a product of two polynomials (both denominators 1) is already reduced;
+* a quotient whose denominator divides its numerator is settled by one
+  division, and otherwise Euclid starts from that division's remainder;
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
   ranges do not overlap concatenates them;
 * a power raises the numerator and the denominator apart;
 * :func:`qnum` builds its polynomial directly.
 
-Division runs on a dense coefficient list, and evaluation uses Horner's rule
-on integers scaled by a power of the point's denominator.
+A product of two integer polynomials with at least 64 term pairs is one
+big-integer product (Kronecker substitution): each operand is packed into
+64-bit slots, one slot per exponent step, and the slots of the product are
+read back in one pass.  It falls back to the term-by-term loop for
+``Fraction`` coefficients, for a coefficient of the product that could
+reach 2^63, and for operands so sparse that the slots would mostly be
+empty.  Division runs on a dense coefficient list, and evaluation uses
+Horner's rule on integers scaled by a power of the point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -37,7 +46,9 @@ they always reduce to honest polynomials.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 
 
 class PoleError(ArithmeticError):
@@ -106,13 +117,68 @@ def _pmul(a, b):
         if len(a) != 1:
             a, b = b, a
         (k, c), = a
+        if c == 1:
+            return _pshift(b, k) if k else b
         return tuple((kb + k, _coef(c * vb)) for kb, vb in b)
+    if len(a) * len(b) >= 64:
+        p = _kmul(a, b)
+        if p is not None:
+            return p
     d = {}
     for ka, va in a:
         for kb, vb in b:
             k = ka + kb
             d[k] = d.get(k, 0) + va * vb
     return _pnorm(d)
+
+
+# Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): with the
+# exponents k0 + g*i of a polynomial put at q^g = 2^64, one integer product
+# computes every coefficient of a polynomial product, as long as each fits a
+# signed 64-bit slot.  A "q" memoryview writes and reads a slot in two's
+# complement; xor-ing 2^63 into every slot maps c to c + 2^63 in [0, 2^64),
+# where the slots add and carry like the digits of one unsigned integer.
+
+
+def _koffset(n):
+    # 2^63 in each of n slots
+    return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
+
+
+def _kpack(a, g):
+    # sum c * 2^(64 (k - k0) / g) over the terms of a, for coefficients
+    # below 2^63 in size; a Fraction raises TypeError
+    k0 = a[0][0]
+    n = (a[-1][0] - k0) // g + 1
+    buf = bytearray(8 * n)
+    slots = memoryview(buf).cast("q")
+    for k, c in a:
+        slots[(k - k0) // g] = c
+    off = _koffset(n)
+    return (int.from_bytes(buf, sys.byteorder) ^ off) - off
+
+
+def _kmul(a, b):
+    # a * b by Kronecker substitution, or None where it does not apply: a
+    # Fraction coefficient, a coefficient of the product that could reach
+    # 2^63, or operands so sparse that the integers would mostly hold zeros
+    la, lb = len(a), len(b)
+    ka, kb = a[0][0], b[0][0]
+    g = gcd(*[k - ka for k, _ in a], *[k - kb for k, _ in b])
+    n = (a[-1][0] - ka + b[-1][0] - kb) // g + 1
+    if n > 4 * (la + lb):
+        return None
+    bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(la, lb)
+    if bound >= 1 << 63:
+        return None
+    try:
+        p = _kpack(a, g) * _kpack(b, g)
+    except TypeError:
+        return None
+    off = _koffset(n)
+    slots = memoryview(((p + off) ^ off).to_bytes(8 * n, sys.byteorder)).cast("q")
+    k0 = ka + kb
+    return tuple([(k, c) for k, c in zip(range(k0, k0 + g * n, g), slots) if c])
 
 
 def _ppow(a, k):
@@ -232,7 +298,16 @@ class QRational:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
             return ZERO
-        g = _pgcd(num, den)
+        if len(num) > 1 and len(den) > 1:
+            # a quotient of polynomials is often exact (a Gaussian binomial
+            # is one), and then one division settles it; otherwise Euclid
+            # goes on from the remainder, as gcd(num, den) = gcd(den, rem)
+            quo, rem = _pdivmod(num, den)
+            if not rem:
+                return QRational(quo, _PONE)
+            g = _pgcd(den, rem)
+        else:
+            g = _pgcd(num, den)
         if len(g) > 1:
             num = _pdivmod(num, g)[0]
             den = _pdivmod(den, g)[0]
@@ -310,6 +385,10 @@ class QRational:
             n, d = b.num, b.den
             m = min(k, d[0][0]) if k >= 0 else min(0, k + n[0][0])
             return QRational(_pmul(((k - m, c),), n), _pshift(d, -m) if m else d)
+        if self.den == other.den == _PONE:
+            # a product of polynomials is reduced with a monic denominator
+            num = _pmul(self.num, other.num)
+            return QRational(num, _PONE) if num else ZERO
         return QRational._make(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     __rmul__ = __mul__

@@ -14,7 +14,10 @@ from qdual.qfield import (
     QRational,
     ZERO,
     _padd,
+    _kmul,
     _pdivmod,
+    _pgcd,
+    _pmonic,
     _pmul,
     q_power,
     qnum,
@@ -414,6 +417,129 @@ def test_polynomial_kernels_match_the_dict_algorithms():
             assert [type(c) for _, c in got[0] + got[1]] == [
                 type(c) for _, c in sum(_dict_pdivmod(x, y), ())
             ]
+
+
+def _strided_poly(rng, terms, stride, low, coeffs):
+    # terms at low + stride*i for i in a random set, coefficients from coeffs
+    slots = rng.sample(range(2 * terms), terms)
+    return _canon({low + stride * i: rng.choice(coeffs) for i in slots})
+
+
+def _assert_pmul_matches(x, y):
+    got, want = _pmul(x, y), _dict_pmul(x, y)
+    assert got == want
+    assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
+def test_kronecker_products_match_the_dict_loop_fuzz():
+    rng = random.Random(70005)
+    small = (1, -1, 2, -3, 5, -8, 13)
+    fractions = small + (Fraction(1, 2), Fraction(-3, 7))
+    kronecker = 0
+    for _ in range(400):
+        # below, at and above 64 term pairs; strides 1, 2, 3 and mixed
+        la, lb = rng.randint(2, 20), rng.randint(2, 20)
+        sa = rng.choice((1, 2, 3))
+        sb = sa if rng.random() < 0.6 else rng.choice((1, 2, 3))
+        coeffs = fractions if rng.random() < 0.15 else small
+        x = _strided_poly(rng, la, sa, rng.randint(-5, 9), coeffs)
+        y = _strided_poly(rng, lb, sb, rng.randint(-5, 9), small)
+        _assert_pmul_matches(x, y)
+        _assert_pmul_matches(y, x)
+        kronecker += len(x) * len(y) >= 64 and _kmul(x, y) is not None
+    assert kronecker > 100
+    # middle terms cancel: (1 + q)(1 - q), and its q^2-base analogues
+    assert _pmul(((0, 1), (1, 1)), ((0, 1), (1, -1))) == ((0, 1), (2, -1))
+    for n in (2, 8, 9, 32, 40):
+        plus = tuple((2 * i + 3, 1) for i in range(n))
+        alternating = tuple((2 * i, (-1) ** i) for i in range(n))
+        _assert_pmul_matches(plus, alternating)
+        # q^3 (1 + q^2 + ... + q^(2n-2)) (q^-7 - q^-5) = q^-4 - q^(2n-4)
+        telescoping = ((-7, 1), (-5, -1))
+        assert _pmul(plus, telescoping) == ((-4, 1), (2 * n - 4, -1))
+
+
+def test_kronecker_products_stay_exact_at_the_64_bit_boundary():
+    # eight terms each: 64 term pairs, and every middle coefficient of the
+    # product sums eight products of extreme coefficients
+    def flat(c, stride=1):
+        return tuple((stride * i, c) for i in range(8))
+
+    below = (1 << 30) - 1
+    for m in (below, -below):
+        x, y = flat(m), flat(below, 2)
+        assert _kmul(x, flat(below)) is not None
+        assert _pmul(x, flat(below))[7] == (7, 8 * m * below)
+        _assert_pmul_matches(x, y)
+    for m in (1 << 30, 1 << 31, (1 << 31) + 1, 1 << 62, (1 << 63) - 1,
+              1 << 63, -(1 << 63), (1 << 64) + 3):
+        x, y = flat(m), flat(-3)
+        if abs(m) * 3 * 8 >= 1 << 63:
+            assert _kmul(x, y) is None and _kmul(y, x) is None
+        _assert_pmul_matches(x, y)
+        _assert_pmul_matches(x, x)
+        assert _kmul(x, x) is None
+    # a middle coefficient of exactly 2^63, from coefficients of 2^30
+    x = flat(1 << 30)
+    assert _pmul(x, x)[7] == (7, 1 << 63)
+
+
+def test_sparse_and_fraction_products_take_the_dict_loop():
+    dense = tuple((i, i + 1) for i in range(10))
+    sparse = tuple((i, 1) for i in range(9)) + ((10 ** 6, 1),)
+    assert _kmul(dense, sparse) is None
+    _assert_pmul_matches(dense, sparse)
+    halves = tuple((i, Fraction(2 * i + 1, 2)) for i in range(10))
+    assert _kmul(dense, halves) is None and _kmul(halves, dense) is None
+    _assert_pmul_matches(dense, halves)
+    _assert_pmul_matches(halves, halves)
+
+
+def _gcd_make(num, den):
+    # the reduction by a full gcd, as it was before exact quotients were
+    # settled by one division
+    g = _pgcd(num, den)
+    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
+    lc = den[-1][1]
+    num, den = tuple((k, Fraction(c) / lc) for k, c in num), _pmonic(den)
+    return QRational(_canon(dict(num)), den)
+
+
+def test_exact_quotients_take_one_division(monkeypatch):
+    num = den = ONE
+    for i in range(5):
+        num = num * qnum(12 - i)
+        den = den * qnum(i + 1)
+    inverse = den.inv()
+    calls = []
+    pdivmod = qfield._pdivmod
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pdivmod(a, b)
+
+    monkeypatch.setattr(qfield, "_pdivmod", counted)
+    monkeypatch.setattr(qfield, "_pgcd", None)
+    got = num * inverse
+    assert calls == [(num.num, den.num)]
+    monkeypatch.undo()
+    assert _structure(got) == _structure(_gcd_make(num.num, den.num))
+    assert got.den == ((0, 1),) and len(got.num) == 5 * 7 + 1
+
+
+def test_inexact_quotients_match_the_gcd_reduction():
+    rng = random.Random(70006)
+    for _ in range(200):
+        common = _random_poly(rng, 4, 3)
+        num = _pmul(_random_poly(rng, 6, 4), common)
+        den = _pmul(_random_poly(rng, 6, 4), common)
+        if len(num) < 2 or len(den) < 2:
+            continue
+        got = QRational._make(num, den)
+        assert _structure(got) == _structure(_gcd_make(num, den))
+    # (q + 2)(q^3 + 1) / ((q + 2)(3q - 3)): a remainder, then one Euclid step
+    f = QRational._make(((0, 2), (1, 1), (3, 2), (4, 1)), ((0, -6), (1, 3), (2, 3)))
+    assert str(f) == "(1/3*q^3 + 1/3)/(q - 1)"
 
 
 def test_qnum_is_the_reduced_quotient():

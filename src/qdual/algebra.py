@@ -50,7 +50,11 @@ assumes it; check C16 compares it with random-order rewriting
 (:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
 confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
-oracle.
+oracle.  Whole-word rewriting carries each pending word's coefficient as a
+chain of rule coefficients and multiplies it out only for a word that
+ends at a nonzero monomial, so the many words that end at zero cost no
+scalar work; the words rewritten, and their order, are the same as with
+multiplying at every step.
 
 Elements are immutable.  The two tables are the only shared mutable
 state: threads may share elements and presentations, and concurrent misses
@@ -59,6 +63,7 @@ in either table only compute identical entries twice.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 
@@ -337,9 +342,14 @@ class Presentation:
         exchanged pair), and any sorted monomial with a squared odd letter
         collapses to zero, so every descendant of a repeating word
         contributes nothing.
-        """
-        import random
 
+        With the shortcut off, most of the words rewritten end at zero.
+        Coefficients are multiplied out only for the words that survive
+        (see :func:`_reduce`), so those words cost rule applications but no
+        scalar products.  The seed alone fixes the reduction: the rules
+        applied and their order do not depend on when coefficients are
+        multiplied.
+        """
         c = _coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be an int, Fraction or QRational")
@@ -400,23 +410,49 @@ def _step_cap_error(pres, length, pair):
     )
 
 
+def _chain_value(node):
+    # multiply a coefficient chain out from its nearest known value,
+    # memoising every node on the way down
+    path = []
+    while node[0] is None:
+        path.append(node)
+        node = node[1]
+    v = node[0]
+    for n in reversed(path):
+        v = n[0] = v * n[2]
+    return v
+
+
 def _reduce(pres, items, *, rng=None, prune=True):
     """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map.
 
     Whole-word rewriting: the engine of :meth:`Presentation.brute_force_nf`
     and the tests' oracle for the multiplication table.  With ``rng`` unset
-    the leftmost out-of-order pair is exchanged first.
+    the leftmost out-of-order pair is exchanged first; with it, each step
+    takes a random pending word (``rng.randrange``) and a random redex in it
+    (``rng.choice``).
+
+    A pending word carries its coefficient as a chain node ``[value or
+    None, parent node, factor]``: the product of its input coefficient and
+    the rule coefficients applied on the way.  The chain is multiplied out,
+    memoising every node on it, only for a sorted word whose monomial is
+    nonzero.  With ``prune`` off, most words repeat an odd letter, are
+    rewritten many times and then dropped, and their products are never
+    formed.  A unit rule coefficient reuses the parent node.  Rule
+    coefficients are nonzero, so only an input coefficient can be zero,
+    and the words visited, their order and the random draws are those of
+    multiplying at every step.
     """
     acc = {}
-    pending = list(items)
+    pending = [([c, None, None], word) for c, word in items]
     steps = 0
     while pending:
         if rng is None:
-            coeff, word = pending.pop()
+            node, word = pending.pop()
         else:
-            coeff, word = pending.pop(rng.randrange(len(pending)))
-        if not coeff:
-            continue
+            node, word = pending.pop(rng.randrange(len(pending)))
+        if node[1] is None and not node[0]:
+            continue  # a zero input coefficient
         if prune and _has_repeated_odd(pres, word):
             continue
         if rng is None:
@@ -433,6 +469,7 @@ def _reduce(pres, items, *, rng=None, prune=True):
         if t is None:
             m = _collapse(pres, word)
             if m is not None:
+                coeff = _chain_value(node)
                 c0 = acc.get(m)
                 acc[m] = coeff if c0 is None else c0 + coeff
             continue
@@ -443,9 +480,12 @@ def _reduce(pres, items, *, rng=None, prune=True):
         gi, si = word[t + 1]
         lam, corr = pres._rule(gj, sj, gi, si)
         head, tail = word[:t], word[t + 2 :]
-        pending.append((coeff * lam, head + (word[t + 1], word[t]) + tail))
+        pending.append((
+            node if lam is ONE else [None, node, lam],
+            head + (word[t + 1], word[t]) + tail,
+        ))
         for mu, u in corr:
-            pending.append((coeff * mu, head + u + tail))
+            pending.append((node if mu is ONE else [None, node, mu], head + u + tail))
     return acc
 
 

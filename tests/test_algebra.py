@@ -41,7 +41,7 @@ from qdual.presentations import (
     superplane,
     tensor,
 )
-from qdual.qfield import ONE, Q, q_power, qnum, scalar
+from qdual.qfield import ONE, Q, QRational, q_power, qnum, scalar
 
 from helpers import random_element, random_word
 
@@ -359,6 +359,13 @@ def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     monkeypatch.setattr(DDUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError, match=r"length 4, .* rule for c\*b$"):
         DDUAL.gen("c", 3) * DDUAL.gen("b", 3)
+    # whole-word rewriting, the engine of brute_force_nf, keeps the same cap
+    with pytest.raises(RewriteLimitError) as err:
+        DDUAL.brute_force_nf([("alpha", 1), ("c", 1), ("b", -1)], 0)
+    assert str(err.value) == (
+        "rewriting in 'dual' exceeded the step cap of 0 at a word of "
+        "length 3, applying the rule for c*b^-1"
+    )
 
 
 # -- the whole-monomial product table -----------------------------------------
@@ -470,6 +477,127 @@ def test_confluence_fuzz():
         expected = pres.normal_form(word)
         for seed in range(5):
             assert pres.brute_force_nf(word, seed) == expected
+
+
+# -- whole-word rewriting -----------------------------------------------------
+
+def _eager_reduce(pres, items, *, rng=None, prune=True):
+    # algebra._reduce as it was before coefficient chains: every rule
+    # application multiplies its word's coefficient at once
+    acc = {}
+    pending = list(items)
+    while pending:
+        if rng is None:
+            coeff, word = pending.pop()
+        else:
+            coeff, word = pending.pop(rng.randrange(len(pending)))
+        if not coeff:
+            continue
+        if prune and algebra._has_repeated_odd(pres, word):
+            continue
+        redexes = [k for k in range(len(word) - 1) if word[k][0] > word[k + 1][0]]
+        if not redexes:
+            m = algebra._collapse(pres, word)
+            if m is not None:
+                c0 = acc.get(m)
+                acc[m] = coeff if c0 is None else c0 + coeff
+            continue
+        t = redexes[0] if rng is None else rng.choice(redexes)
+        lam, corr = pres._rule(*word[t], *word[t + 1])
+        head, tail = word[:t], word[t + 2:]
+        pending.append((coeff * lam, head + (word[t + 1], word[t]) + tail))
+        for mu, u in corr:
+            pending.append((coeff * mu, head + u + tail))
+    return acc
+
+
+def _log_rules(monkeypatch):
+    # every rule application, in order, across all presentations
+    log = []
+    rule = Presentation._rule
+
+    def logged(pres, *key):
+        log.append((pres.name, key))
+        return rule(pres, *key)
+
+    monkeypatch.setattr(Presentation, "_rule", logged)
+    return log
+
+
+def _structure(acc):
+    # a {monomial: coefficient} map down to its tuples and coefficient types
+    return [
+        (m, type(c), c.num, c.den, [type(k) for _, k in c.num + c.den])
+        for m, c in acc.items()
+    ]
+
+
+def test_coefficient_chains_match_eager_multiplication_fuzz(monkeypatch):
+    log = _log_rules(monkeypatch)
+    rng = random.Random(50321)
+    scales = (ONE, scalar(0), scalar(-1)) + _SCALES
+    for pres in _pair_table_algebras():
+        for _ in range(30):
+            items = [
+                (rng.choice(scales), pres.letters(random_word(pres, rng, 6)))
+                for _ in range(rng.randrange(1, 4))
+            ]
+            for seed in (None, rng.randrange(2**32)):
+                # leftmost mode prunes as the oracle helpers do, seeded mode
+                # as brute_force_nf does
+                prune = seed is None or any(g.invertible for g in pres.generators)
+                runs = []
+                for reduce in (_eager_reduce, algebra._reduce):
+                    log.clear()
+                    draws = None if seed is None else random.Random(seed)
+                    got = reduce(pres, items, rng=draws, prune=prune)
+                    runs.append((_structure(got), list(log)))
+                assert runs[0] == runs[1]
+
+
+def test_oracle_multiplies_only_surviving_coefficients(monkeypatch):
+    # C16's costliest word at fuzz seed 6 repeats the odd letter beta, so
+    # every rule application acts on a word that ends at zero
+    word = [(3, 2), (3, 1), (2, 2), (2, 2), (0, 1), (0, 1), (2, 2)]
+    log = _log_rules(monkeypatch)
+    products = []
+    mul = QRational.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(QRational, "__mul__", counted)
+    monkeypatch.setattr(QRational, "__rmul__", counted)
+    for seed in (0, 1, 2, 3):
+        log.clear()
+        products.clear()
+        assert GL.brute_force_nf(word, seed).is_zero
+        assert len(log) > 2000
+        assert 10 * len(products) < len(log)
+
+
+NONCONFLUENT = """
+generator x even
+generator y even
+generator z even
+rule y*x = q*x*y
+rule z*x = x*z
+rule z*y = y*z + x
+"""
+
+
+def test_oracle_sees_a_non_confluent_descriptor():
+    # z*y*x = (y*z + x)*x = q*x*y*z + x^2, but
+    # z*y*x = q*z*x*y = q*x*z*y = q*x*y*z + q*x^2
+    pres = load_presentation(NONCONFLUENT, name="nonconfluent")
+    word = [("z", 1), ("y", 1), ("x", 1)]
+    assert render_element(pres.normal_form(word)) == "q*x*y*z + x^2"
+    got = [render_element(pres.brute_force_nf(word, seed)) for seed in range(8)]
+    assert got == [
+        "q*x*y*z + q*x^2", "q*x*y*z + x^2", "q*x*y*z + x^2", "q*x*y*z + x^2",
+        "q*x*y*z + q*x^2", "q*x*y*z + q*x^2", "q*x*y*z + q*x^2", "q*x*y*z + x^2",
+    ]
 
 
 # -- tensor products ---------------------------------------------------------

@@ -39,7 +39,6 @@ from .algebra import (
     Presentation,
     PresentationError,
     RewriteLimitError,
-    UnderivedInverseError,
     invert_quasi_unit,
     is_central,
     render_element,
@@ -108,7 +107,6 @@ __all__ = [
     "QRational",
     "RewriteLimitError",
     "SuperMatrix",
-    "UnderivedInverseError",
     "ZERO",
     "check_dual_pattern",
     "check_gl_pattern",

@@ -8,7 +8,9 @@ rank(j) > rank(i),
 
 with lam a nonzero scalar and C a combination of strictly smaller words.
 Odd generators square to zero and are never invertible; invertible even
-generators contribute inverse letters g^-1 that annihilate against g.
+generators contribute inverse letters g^-1 that annihilate against g.  The
+exchange rules for inverse letters follow from the authored ones, and every
+presentation adds them when it is built.
 
 Elements are finite Q(q)-linear combinations of normal-ordered monomials
 g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
@@ -91,16 +93,18 @@ class NonInvertiblePowerError(AlgebraError):
     """Negative exponent requested on a non-invertible generator."""
 
 
-class UnderivedInverseError(AlgebraError):
-    """An inverse-letter exchange was needed but has not been derived."""
-
-
 class NotQuasiUnitError(AlgebraError):
     """Inversion of an element that is not unit-plus-nilpotent."""
 
 
 class RewriteLimitError(AlgebraError):
-    """Rewriting exceeded the safety step cap (should never happen)."""
+    """Rewriting passed the step cap, or a table entry needs its own result.
+
+    Validation bounds the authored rules, not the inverse-letter rules they
+    imply: with v*u = u*v + w (u, v invertible, w even) the rule for
+    v^-1*u^-1 recreates its own redex, and a normal form through it raises
+    this.  The built-in presentations never do.
+    """
 
 
 @dataclass(frozen=True)
@@ -147,10 +151,48 @@ def _unit(c):
     return ONE if isinstance(c, QRational) and c.is_one else c
 
 
+def _inverse_rules(rules, generators):
+    """The exchange rules for inverse letters that authored rules imply.
+
+    For every authored rule g_j*g_i = lam*g_i*g_j + C and every invertible
+    participant:
+
+        g_j * g_i^-1    = lam^-1 * g_i^-1 * g_j  -  lam^-1 * g_i^-1 C g_i^-1
+        g_j^-1 * g_i    = lam^-1 * g_i * g_j^-1  -  lam^-1 * g_j^-1 C g_j^-1
+        g_j^-1 * g_i^-1 = lam * g_i^-1 * g_j^-1  +  g_i^-1 g_j^-1 C g_j^-1 g_i^-1
+
+    These are consequences of the presentation, not new axioms: each one is
+    the authored rule multiplied by inverse letters on both sides.
+    """
+    out = {}
+    for (gj, _, gi, _), (lam, corr) in rules.items():
+        inv_i = generators[gi].invertible
+        inv_j = generators[gj].invertible
+        li = (gi, -1)
+        lj = (gj, -1)
+        lam_inv = _unit(lam.inv())
+        if inv_i:
+            out[(gj, 1, gi, -1)] = (
+                lam_inv,
+                tuple((_unit(-(lam_inv * mu)), (li,) + u + (li,)) for mu, u in corr),
+            )
+        if inv_j:
+            out[(gj, -1, gi, 1)] = (
+                lam_inv,
+                tuple((_unit(-(lam_inv * mu)), (lj,) + u + (lj,)) for mu, u in corr),
+            )
+        if inv_i and inv_j:
+            out[(gj, -1, gi, -1)] = (
+                lam,
+                tuple((mu, (li, lj) + u + (lj, li)) for mu, u in corr),
+            )
+    return out
+
+
 class Presentation:
     """An ordered, finitely presented Z2-graded algebra over Q(q)."""
 
-    def __init__(self, name, generators, rules, *, derived=False, _validated=False):
+    def __init__(self, name, generators, rules, *, _validated=False):
         self.name = name
         self.generators = tuple(generators)
         self.index = {g.name: i for i, g in enumerate(self.generators)}
@@ -161,11 +203,11 @@ class Presentation:
             key: (_unit(lam), tuple((_unit(mu), word) for mu, word in corr))
             for key, (lam, corr) in rules.items()
         }
-        # "derived" means every inverse-letter exchange rule is present; it is
-        # vacuously true when nothing is invertible.
-        self.derived = derived or not any(g.invertible for g in self.generators)
+        # _validated rule sets are complete copies; authored ones gain the
+        # inverse-letter rules they imply
         if not _validated:
             self._validate()
+            self._rules.update(_inverse_rules(self._rules, self.generators))
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
         # (normal-form monomial, letter) -> normal form of their product at
@@ -248,15 +290,7 @@ class Presentation:
     # -- rule lookup --------------------------------------------------------
 
     def _rule(self, gj, sj, gi, si):
-        r = self._rules.get((gj, sj, gi, si))
-        if r is None:
-            if sj == -1 or si == -1:
-                raise UnderivedInverseError(
-                    f"no exchange rule for inverse letters in {self.name!r}; "
-                    "apply derive_inverse_rules first"
-                )
-            raise PresentationError("missing exchange rule")  # pragma: no cover
-        return r
+        return self._rules[(gj, sj, gi, si)]
 
     # -- element construction -------------------------------------------
 

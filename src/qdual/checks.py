@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from . import supermatrix as sm
 from .algebra import invert_quasi_unit, render_element
 from .presentations import (
-    derive_inverse_rules,
     dual_algebra,
     dual_superplane,
     gl_algebra,
@@ -59,17 +58,13 @@ class CheckReport:
             raise ValueError("failing check must carry a witness")
 
 
-def _dual():
-    return derive_inverse_rules(dual_algebra())
-
-
 class _Context:
     """Generator matrices and their powers, shared by the checks of one run."""
 
     def __init__(self, max_n, seed):
         self.max_n = max_n
         self.seed = seed
-        self.mat = sm.dual_generator_matrix(_dual())
+        self.mat = sm.dual_generator_matrix(dual_algebra())
         self.gl_mat = sm.gl_generator_matrix(gl_algebra())
         self._powers = {}
         self._patterns = {}
@@ -152,7 +147,7 @@ def _c01_dual_axioms(ctx):
 
 
 def _c02_inverse_relations(ctx):
-    p = _dual()
+    p = dual_algebra()
     al, de, b, c = (p.gen(x) for x in ("alpha", "delta", "b", "c"))
     bi, ci = p.gen("b", -1), p.gen("c", -1)
     pairs = [
@@ -173,7 +168,7 @@ def _c02_inverse_relations(ctx):
 
 
 def _c03_delta_commutation(ctx):
-    p = _dual()
+    p = dual_algebra()
     al, de = p.gen("alpha"), p.gen("delta")
     b, c = p.gen("b"), p.gen("c")
     d1, d2 = sm.delta1(ctx.mat), sm.delta2(ctx.mat)
@@ -191,7 +186,7 @@ def _c03_delta_commutation(ctx):
 
 
 def _c04_sdet_forms(ctx):
-    p = _dual()
+    p = dual_algebra()
     al, de = p.gen("alpha"), p.gen("delta")
     b, c = p.gen("b"), p.gen("c")
     bi, ci = p.gen("b", -1), p.gen("c", -1)
@@ -212,7 +207,7 @@ def _c04_sdet_forms(ctx):
 
 
 def _c05_sdet_central(ctx):
-    p = _dual()
+    p = dual_algebra()
     s1 = sm.sdet(ctx.mat)
     s2 = p.gen("c") * p.gen("c") * invert_quasi_unit(sm.delta2(ctx.mat))
     pairs = []
@@ -225,7 +220,7 @@ def _c05_sdet_central(ctx):
 
 
 def _c06_left_inverse(ctx):
-    p = _dual()
+    p = dual_algebra()
     m = ctx.mat
     left = sm.left_inverse(m)
     ident = sm.identity(p)
@@ -271,7 +266,7 @@ def _power_sweep(ctx, closed_form, offset):
     """C08/C09: M^(2n - offset) against its closed form for n = 1..max_n."""
     pairs = []
     for n in range(1, ctx.max_n + 1):
-        want = closed_form(_dual(), n)
+        want = closed_form(dual_algebra(), n)
         got = ctx.power(ctx.mat, 2 * n - offset)
         pairs += _entry_residuals(f"n={n}", got, want)
     status, witness = _residual_check(pairs)
@@ -305,7 +300,7 @@ def _c11_even_power_pattern(ctx):
 
 
 def _c12_product_of_duals(ctx):
-    pair = tensor(_dual(), rename(_dual(), "2"), name="dualxdual")
+    pair = tensor(dual_algebra(), rename(dual_algebra(), "2"), name="dualxdual")
     m1 = sm.dual_generator_matrix(pair)
     m2 = sm.dual_generator_matrix(pair, suffix="2")
     prod = sm.matmul(m1, m2)
@@ -365,7 +360,7 @@ def _c14_covariance_gl(ctx):
 
 def _c15_covariance_dual(ctx):
     return _covariance(
-        _dual(),
+        dual_algebra(),
         sm.dual_generator_matrix,
         (
             ("plane coordinates -> dual-plane relations", "dual_plane"),
@@ -399,7 +394,7 @@ def _c16_confluence(ctx):
     words_per_algebra = 12
     brute_seeds = 2
     rng = random.Random(ctx.seed)
-    algebras = [_dual(), gl_algebra(), superplane(), dual_superplane()]
+    algebras = [dual_algebra(), gl_algebra(), superplane(), dual_superplane()]
     for pres in algebras:
         for k in range(words_per_algebra):
             word = _random_word(pres, rng)

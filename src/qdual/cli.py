@@ -25,7 +25,6 @@ from .algebra import AlgebraError, render_element
 from .checks import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
-    _dual,
     has_failure,
     machine_lines,
     run_suite,
@@ -33,7 +32,7 @@ from .checks import (
 )
 from .parsing import ParseError, parse_element
 from .presentations import (
-    derive_inverse_rules,
+    dual_algebra,
     dual_superplane,
     gl_algebra,
     load_presentation_file,
@@ -47,15 +46,15 @@ from .presentations import (
 # one name returns the same presentation; the builders look them up at call
 # time, so wrappers installed on the module attributes see every call.
 _BUILTIN_ALGEBRAS = {
-    "dual": _dual,
+    "dual": lambda: dual_algebra(),
     "gl": lambda: gl_algebra(),
     "plane": lambda: superplane(),
     "dualplane": lambda: dual_superplane(),
     "dualxdual": lambda: tensor(
-        _dual(), rename(_dual(), "2"), name="dualxdual"
+        dual_algebra(), rename(dual_algebra(), "2"), name="dualxdual"
     ),
     "glxplane": lambda: tensor(gl_algebra(), superplane()),
-    "dualxplane": lambda: tensor(_dual(), superplane()),
+    "dualxplane": lambda: tensor(dual_algebra(), superplane()),
 }
 
 
@@ -64,7 +63,7 @@ def _algebra_by_name(name):
     if build is not None:
         return build()
     if os.path.exists(name):
-        return derive_inverse_rules(load_presentation_file(name))
+        return load_presentation_file(name)
     raise AlgebraError(
         f"unknown algebra {name!r}: expected one of "
         f"{', '.join(_BUILTIN_ALGEBRAS)} or a descriptor file path"

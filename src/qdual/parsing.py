@@ -10,8 +10,9 @@ Grammar (whitespace-insensitive)::
 ``q`` is the reserved scalar indeterminate; every other name must be a
 generator of the target presentation.  Division requires a purely scalar
 divisor.  A negative exponent applies to a scalar or to a single product of
-invertible generators.  :func:`render_element`'s default style emits text
-this grammar accepts, so elements round-trip.
+invertible generators.  Parentheses nest at most ``_MAX_DEPTH`` (100) deep,
+so no input can exhaust the interpreter's stack.  :func:`render_element`'s
+default style emits text this grammar accepts, so elements round-trip.
 
 One grammar, two semantic backends.  :func:`parse_raw_terms` expands the
 text into unnormalised (coefficient, word) terms, as descriptor rules need.
@@ -42,6 +43,7 @@ class ParseError(ValueError):
         self.position = position
 
 
+_MAX_DEPTH = 100
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 _INT_RE = re.compile(r"\d+")
 _PUNCT = "+-*/^()"
@@ -83,6 +85,7 @@ class _Parser:
     def __init__(self, toks, resolver, backend):
         self.toks = toks
         self.i = 0
+        self.depth = 0
         self.resolver = resolver
         self.invertible = {idx for idx, inv in resolver.values() if inv}
         self.b = backend
@@ -160,10 +163,16 @@ class _Parser:
                 raise ParseError(f"unknown generator {val!r}", pos)
             return self.b.term(ONE, ((hit[0], 1),))
         if kind == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ParseError(
+                    f"parentheses nested more than {_MAX_DEPTH} deep", pos
+                )
+            self.depth += 1
             inner = self.expr()
             tok = self.take()
             if tok[0] != ")":
                 raise ParseError("expected ')'", tok[2])
+            self.depth -= 1
             return inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)

@@ -10,18 +10,19 @@ Each built-in is written in the descriptor format that
 same text under the same name.
 
 Constructions: super tensor products (disjoint copies that commute up to the
-Koszul sign), renamed copies for second tensor factors, derivation of the
-exchange rules for inverse letters, and a small text format for loading
-custom presentations.
+Koszul sign), renamed copies for second tensor factors, and a small text
+format for loading custom presentations.  Every presentation carries the
+exchange rules for its inverse letters from the moment it is built.
 
-The built-ins and the three constructions are memoised, so the same inputs
-always give the same :class:`~qdual.algebra.Presentation`: elements built
-through separate calls can be mixed, and each presentation's multiplication
-table is filled once per process.  The caches key on presentation identity
-and keep every presentation passed to them alive.  Two threads making the
-first call at the same moment may each build an object; every later call
-returns the cached one.  Descriptor files are interned by structure: every
-load of the same name, generators and rules returns one presentation.
+The built-ins, tensor products and renamed copies are memoised, so the same
+inputs always give the same :class:`~qdual.algebra.Presentation`: elements
+built through separate calls can be mixed, and each presentation's
+multiplication table is filled once per process.  The caches key on
+presentation identity and keep every presentation passed to them alive.
+Two threads making the first call at the same moment may each build an
+object; every later call returns the cached one.  Descriptor files are
+interned by structure: every load of the same name, generators and rules
+returns one presentation.
 """
 
 from __future__ import annotations
@@ -118,13 +119,7 @@ def rename(pres, suffix, /):
         GeneratorSpec(g.name + suffix, g.parity, g.invertible)
         for g in pres.generators
     )
-    return Presentation(
-        pres.name + suffix,
-        gens,
-        dict(pres._rules),
-        derived=pres.derived,
-        _validated=True,
-    )
+    return Presentation(pres.name + suffix, gens, dict(pres._rules), _validated=True)
 
 
 def tensor(a, b, name=None):
@@ -161,61 +156,15 @@ def _tensor(a, b, name):
             for sb in ((1, -1) if bg.invertible else (1,)):
                 for sa in ((1, -1) if ag.invertible else (1,)):
                     rules[(bi + off, sb, ai, sa)] = (eps, ())
-    return Presentation(
-        name,
-        gens,
-        rules,
-        derived=a.derived and b.derived,
-        _validated=True,
-    )
+    return Presentation(name, gens, rules, _validated=True)
 
 
-@lru_cache(maxsize=None)
 def derive_inverse_rules(pres, /):
-    """Extend a presentation with the exchange rules for inverse letters.
+    """Return ``pres``: every presentation already has its inverse-letter rules.
 
-    For every authored rule g_j*g_i = lam*g_i*g_j + C and every invertible
-    participant, the implied rules are added:
-
-        g_j * g_i^-1   = lam^-1 * g_i^-1 * g_j  -  lam^-1 * g_i^-1 C g_i^-1
-        g_j^-1 * g_i   = lam^-1 * g_i * g_j^-1  -  lam^-1 * g_j^-1 C g_j^-1
-        g_j^-1 * g_i^-1 = lam * g_i^-1 * g_j^-1 + g_i^-1 g_j^-1 C g_j^-1 g_i^-1
-
-    These are consequences of the presentation, not new axioms: each one is
-    obtained by multiplying the authored rule by inverse letters on both
-    sides.  Returns the derived presentation, the same object on every call
-    (the input itself when nothing is invertible or the rules were already
-    derived).
+    Kept so that code written for the earlier two-step build still runs.
     """
-    if pres.derived:
-        return pres
-    rules = dict(pres._rules)
-    for (gj, sj, gi, si), (lam, corr) in pres._rules.items():
-        if (sj, si) != (1, 1):
-            continue
-        inv_i = pres.generators[gi].invertible
-        inv_j = pres.generators[gj].invertible
-        li = (gi, -1)
-        lj = (gj, -1)
-        lam_inv = lam.inv()
-        if inv_i:
-            rules[(gj, 1, gi, -1)] = (
-                lam_inv,
-                tuple((-(lam_inv * mu), (li,) + u + (li,)) for mu, u in corr),
-            )
-        if inv_j:
-            rules[(gj, -1, gi, 1)] = (
-                lam_inv,
-                tuple((-(lam_inv * mu), (lj,) + u + (lj,)) for mu, u in corr),
-            )
-        if inv_i and inv_j:
-            rules[(gj, -1, gi, -1)] = (
-                lam,
-                tuple((mu, (li, lj) + u + (lj, li)) for mu, u in corr),
-            )
-    return Presentation(
-        pres.name, pres.generators, rules, derived=True, _validated=True
-    )
+    return pres
 
 
 # ---------------------------------------------------------------------------
@@ -316,5 +265,12 @@ def _descriptor(name, gens, rules):
 
 
 def load_presentation_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_presentation(fh.read(), name=str(path))
+    """Load a descriptor file, named by its path; it must be UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise PresentationError(
+            f"{path}: not UTF-8 text (byte {e.start})"
+        ) from None
+    return load_presentation(text, name=str(path))

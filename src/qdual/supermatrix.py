@@ -237,8 +237,7 @@ def closed_form_odd(pres, n):
         C = (cb + q[n-1]'*delta*alpha) * (cb)^(n-2) * c
         D = ([n]*delta + q[n-1]*alpha) * (cb)^(n-1)
 
-    At n = 1 the (bc)^(n-2) factor needs (bc)^-1, so the presentation must
-    have derived inverse rules.
+    At n = 1 the (bc)^(n-2) factor needs (bc)^-1.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("closed_form_odd expects an integer n >= 1")

@@ -26,13 +26,11 @@ from qdual.algebra import (
     Presentation,
     PresentationError,
     RewriteLimitError,
-    UnderivedInverseError,
     invert_quasi_unit,
     is_central,
     render_element,
 )
 from qdual.presentations import (
-    derive_inverse_rules,
     dual_algebra,
     dual_superplane,
     gl_algebra,
@@ -46,7 +44,6 @@ from qdual.qfield import ONE, Q, QRational, q_power, qnum, scalar
 from helpers import random_element, random_word
 
 DUAL = dual_algebra()
-DDUAL = derive_inverse_rules(DUAL)
 GL = gl_algebra()
 PLANE = superplane()
 DPLANE = dual_superplane()
@@ -104,41 +101,49 @@ def test_plane_relations():
 
 # -- inverse letters ---------------------------------------------------------
 
-def test_underived_presentation_rejects_inverse_exchanges():
-    with pytest.raises(UnderivedInverseError):
-        DUAL.normal_form([("b", -1), ("alpha", 1)])
+def test_dual_algebra_inverts_b_and_c_directly():
+    # the inverse-letter rules come with the presentation: no derive step
+    pres = dual_algebra()
+    al = pres.gen("alpha")
+    assert pres.normal_form([("b", -1), ("alpha", 1)]) == (
+        q_power(-1) * (al * pres.gen("b", -1))
+    )
+    for name in ("b", "c"):
+        g, gi = pres.gen(name), pres.gen(name, -1)
+        assert g * gi == pres.one() and gi * g == pres.one()
+        assert g ** -1 == gi
 
 
 def test_negative_power_of_odd_generator():
     with pytest.raises(NonInvertiblePowerError):
-        DDUAL.gen("alpha", -1)
+        DUAL.gen("alpha", -1)
 
 
 def test_derived_single_inverse_exchanges():
-    al = DDUAL.gen("alpha")
-    b, bi = DDUAL.gen("b"), DDUAL.gen("b", -1)
-    c, ci = DDUAL.gen("c"), DDUAL.gen("c", -1)
+    al = DUAL.gen("alpha")
+    b, bi = DUAL.gen("b"), DUAL.gen("b", -1)
+    c, ci = DUAL.gen("c"), DUAL.gen("c", -1)
     assert bi * al == q_power(-1) * (al * bi)
     assert ci * al == q_power(-1) * (al * ci)
-    assert b * bi == DDUAL.one()
-    assert bi * b == DDUAL.one()
-    assert c * ci == DDUAL.one()
+    assert b * bi == DUAL.one()
+    assert bi * b == DUAL.one()
+    assert c * ci == DUAL.one()
 
 
 def test_derived_inverse_pair_exchange():
     # c^-1 b^-1 in terms of b^-1 c^-1 keeps the even-pair correction shape
-    lhs = DDUAL.gen("c", -1) * DDUAL.gen("b", -1)
-    bi, ci = DDUAL.gen("b", -1), DDUAL.gen("c", -1)
-    de, al = DDUAL.gen("delta"), DDUAL.gen("alpha")
+    lhs = DUAL.gen("c", -1) * DUAL.gen("b", -1)
+    bi, ci = DUAL.gen("b", -1), DUAL.gen("c", -1)
+    de, al = DUAL.gen("delta"), DUAL.gen("alpha")
     rhs = bi * ci - (Q - q_power(-1)) * (bi * ci * de * al * ci * bi)
     assert lhs == rhs
     # sanity: multiplying back by b c returns 1
-    assert lhs * DDUAL.gen("b") * DDUAL.gen("c") == DDUAL.one()
+    assert lhs * DUAL.gen("b") * DUAL.gen("c") == DUAL.one()
 
 
 def test_conjugated_exchange_identity():
-    b, ci = DDUAL.gen("b"), DDUAL.gen("c", -1)
-    al, de = DDUAL.gen("alpha"), DDUAL.gen("delta")
+    b, ci = DUAL.gen("b"), DUAL.gen("c", -1)
+    al, de = DUAL.gen("alpha"), DUAL.gen("delta")
     lhs = b * ci - ci * b
     rhs = (Q - q_power(-1)) * (al * ci * ci * de)
     assert lhs == rhs
@@ -148,38 +153,38 @@ def test_conjugated_exchange_identity():
 # -- quasi-unit inversion ----------------------------------------------------
 
 def test_invert_quasi_unit_roundtrip():
-    b, c = DDUAL.gen("b"), DDUAL.gen("c")
-    de, al = DDUAL.gen("delta"), DDUAL.gen("alpha")
+    b, c = DUAL.gen("b"), DUAL.gen("c")
+    de, al = DUAL.gen("delta"), DUAL.gen("alpha")
     u = b * c - Q * (de * al)
     v = invert_quasi_unit(u)
-    assert u * v == DDUAL.one()
-    assert v * u == DDUAL.one()
+    assert u * v == DUAL.one()
+    assert v * u == DUAL.one()
 
 
 def test_invert_unit_plus_nilpotent():
-    al, de = DDUAL.gen("alpha"), DDUAL.gen("delta")
-    u = DDUAL.one() + al * de
-    assert invert_quasi_unit(u) == DDUAL.one() - al * de
+    al, de = DUAL.gen("alpha"), DUAL.gen("delta")
+    u = DUAL.one() + al * de
+    assert invert_quasi_unit(u) == DUAL.one() - al * de
 
 
 def test_invert_quasi_unit_rejections():
     with pytest.raises(NotQuasiUnitError):
-        invert_quasi_unit(DDUAL.zero())
+        invert_quasi_unit(DUAL.zero())
     with pytest.raises(NotQuasiUnitError):
-        invert_quasi_unit(DDUAL.gen("alpha"))  # nilpotent, no unit part
+        invert_quasi_unit(DUAL.gen("alpha"))  # nilpotent, no unit part
     with pytest.raises(NotQuasiUnitError):
-        invert_quasi_unit(DDUAL.gen("b") + DDUAL.gen("c"))  # two unit terms
+        invert_quasi_unit(DUAL.gen("b") + DUAL.gen("c"))  # two unit terms
     with pytest.raises(NotQuasiUnitError):
         invert_quasi_unit(GL.gen("a"))  # not declared invertible
 
 
 def test_is_central():
-    b, al, de = DDUAL.gen("b"), DDUAL.gen("alpha"), DDUAL.gen("delta")
-    c = DDUAL.gen("c")
+    b, al, de = DUAL.gen("b"), DUAL.gen("alpha"), DUAL.gen("delta")
+    c = DUAL.gen("c")
     d1 = b * c - Q * (de * al)
     s = b * b * invert_quasi_unit(d1)
     assert is_central(s)
-    assert is_central(DDUAL.one())
+    assert is_central(DUAL.one())
     assert not is_central(b)
     assert not is_central(al)
     assert is_central(b, names=("b",))
@@ -195,28 +200,28 @@ def test_mismatched_algebras_refuse_to_mix():
 
 
 def test_scalar_coercion_and_powers():
-    b = DDUAL.gen("b")
+    b = DUAL.gen("b")
     assert 2 * b == b + b
-    assert b - b == DDUAL.zero()
-    assert b ** 0 == DDUAL.one()
-    assert b ** -2 == DDUAL.gen("b", -2)
-    assert b ** 3 == DDUAL.normal_form([("b", 3)])
-    assert (Q * b) * DDUAL.gen("b", -1) == DDUAL.scalar(Q)
+    assert b - b == DUAL.zero()
+    assert b ** 0 == DUAL.one()
+    assert b ** -2 == DUAL.gen("b", -2)
+    assert b ** 3 == DUAL.normal_form([("b", 3)])
+    assert (Q * b) * DUAL.gen("b", -1) == DUAL.scalar(Q)
 
 
 def test_parity_grading():
-    al, b = DDUAL.gen("alpha"), DDUAL.gen("b")
+    al, b = DUAL.gen("alpha"), DUAL.gen("b")
     assert al.parity() == ODD
     assert b.parity() == EVEN
     assert (al * b).parity() == ODD
-    assert (al * DDUAL.gen("delta")).parity() == EVEN
+    assert (al * DUAL.gen("delta")).parity() == EVEN
     assert (al + b).parity() is None
-    assert DDUAL.zero().parity() is None
+    assert DUAL.zero().parity() is None
 
 
 def test_parity_is_multiplicative_fuzz():
     rng = random.Random(424242)
-    for pres in (DDUAL, GL, PLANE, DPLANE):
+    for pres in (DUAL, GL, PLANE, DPLANE):
         for _ in range(60):
             x = pres.normal_form(random_word(pres, rng, 5))
             y = pres.normal_form(random_word(pres, rng, 5))
@@ -230,7 +235,7 @@ def test_parity_is_multiplicative_fuzz():
 
 def test_associativity_fuzz():
     rng = random.Random(55001)
-    for pres in (DDUAL, GL, PLANE, DPLANE):
+    for pres in (DUAL, GL, PLANE, DPLANE):
         for _ in range(310):
             x = random_element(pres, rng, n_words=2, max_len=3)
             y = random_element(pres, rng, n_words=2, max_len=3)
@@ -258,10 +263,10 @@ def _whole_word_product(x, y):
 def test_table_products_match_whole_word_rewriting_fuzz():
     rng = random.Random(31337)
     presentations = (
-        derive_inverse_rules(DUAL),
+        DUAL,
         gl_algebra(),
-        tensor(DDUAL, superplane()),
-        tensor(DDUAL, rename(DDUAL, "2"), name="dualxdual"),
+        tensor(DUAL, superplane()),
+        tensor(DUAL, rename(DUAL, "2"), name="dualxdual"),
     )
     for pres in presentations:
         for _ in range(40):
@@ -283,7 +288,7 @@ rule theta*u = q^2*u*theta
 def test_normal_form_matches_whole_word_rewriting_fuzz():
     rng = random.Random(9041)
     presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
-    presentations.append(derive_inverse_rules(load_presentation(TWIST)))
+    presentations.append(load_presentation(TWIST))
     for pres in presentations:
         for _ in range(60):
             word = random_word(pres, rng, 7)
@@ -293,27 +298,27 @@ def test_normal_form_matches_whole_word_rewriting_fuzz():
 def test_long_exponent_misses_need_no_recursion():
     # a chain of 3000 misses (c^i * b for every i), far past the recursion
     # limit; c^n b = b c^n - (q - q^-1) [n] delta alpha c^(n-1)
-    got = DDUAL.gen("c", 3000) * DDUAL.gen("b")
-    de_al = DDUAL.gen("delta") * DDUAL.gen("alpha")
-    assert got == DDUAL.gen("b") * DDUAL.gen("c", 3000) - (
-        (Q - q_power(-1)) * qnum(3000) * (de_al * DDUAL.gen("c", 2999))
+    got = DUAL.gen("c", 3000) * DUAL.gen("b")
+    de_al = DUAL.gen("delta") * DUAL.gen("alpha")
+    assert got == DUAL.gen("b") * DUAL.gen("c", 3000) - (
+        (Q - q_power(-1)) * qnum(3000) * (de_al * DUAL.gen("c", 2999))
     )
 
 
 def test_cold_long_product_fills_a_bounded_table(monkeypatch):
-    monkeypatch.setattr(DDUAL, "_mul_table", {})
-    monkeypatch.setattr(DDUAL, "_pair_table", {})
-    got = DDUAL.gen("c", 40) * DDUAL.gen("b", 40)
+    monkeypatch.setattr(DUAL, "_mul_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
+    got = DUAL.gen("c", 40) * DUAL.gen("b", 40)
     assert len(got.terms) == 2
     # 1482 of the entries are (alpha delta b^j c^i)*b, whose odd letters
     # keep the whole monomial in the key; the rest are chains like c^i*b
-    assert len(DDUAL._mul_table) == 1718
+    assert len(DUAL._mul_table) == 1718
 
 
 def test_entry_that_needs_itself_fails_fast():
-    # the derived rule v^-1 u^-1 = u^-1 v^-1 + u^-1 v^-1 w v^-1 u^-1
+    # the implied rule v^-1 u^-1 = u^-1 v^-1 + u^-1 v^-1 w v^-1 u^-1
     # recreates its own redex with an even letter that never vanishes
-    pres = derive_inverse_rules(load_presentation(
+    pres = load_presentation(
         "generator w even\n"
         "generator u even invertible\n"
         "generator v even invertible\n"
@@ -321,7 +326,7 @@ def test_entry_that_needs_itself_fails_fast():
         "rule v*w = w*v\n"
         "rule v*u = u*v + w\n",
         name="runaway",
-    ))
+    )
     with pytest.raises(RewriteLimitError) as err:
         pres.normal_form([("v", -1), ("u", -1)])
     assert str(err.value) == (
@@ -332,36 +337,36 @@ def test_entry_that_needs_itself_fails_fast():
 
 
 def test_scalar_elements_hash_like_their_coefficient():
-    assert DDUAL.one() == 1 and hash(DDUAL.one()) == hash(1)
-    assert DDUAL.zero() == 0 and hash(DDUAL.zero()) == hash(0)
-    half = DDUAL.scalar(scalar(1) / 2)
+    assert DUAL.one() == 1 and hash(DUAL.one()) == hash(1)
+    assert DUAL.zero() == 0 and hash(DUAL.zero()) == hash(0)
+    half = DUAL.scalar(scalar(1) / 2)
     assert half == scalar(1) / 2 and hash(half) == hash(scalar(1) / 2)
-    assert DDUAL.scalar(Q) == Q and hash(DDUAL.scalar(Q)) == hash(Q)
-    b = DDUAL.gen("b")
-    assert hash(b * DDUAL.gen("b", -1)) == hash(1)
-    assert len({DDUAL.one(), 1, scalar(1)}) == 1
+    assert DUAL.scalar(Q) == Q and hash(DUAL.scalar(Q)) == hash(Q)
+    b = DUAL.gen("b")
+    assert hash(b * DUAL.gen("b", -1)) == hash(1)
+    assert len({DUAL.one(), 1, scalar(1)}) == 1
 
 
 def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     monkeypatch.setattr(algebra, "_STEP_CAP", 0)
     # normal_form reads the multiplication table too, and the fuzz tests
     # fill it: start cold so the word needs a rule application
-    monkeypatch.setattr(DDUAL, "_mul_table", {})
-    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    monkeypatch.setattr(DUAL, "_mul_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError) as err:
-        DDUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
+        DUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
     assert str(err.value) == (
         "rewriting in 'dual' exceeded the step cap of 0 at a word of "
         "length 3, applying the rule for c*b^-1"
     )
     # a table miss inside a product rewrites through the same capped engine
-    monkeypatch.setattr(DDUAL, "_mul_table", {})
-    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    monkeypatch.setattr(DUAL, "_mul_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError, match=r"length 4, .* rule for c\*b$"):
-        DDUAL.gen("c", 3) * DDUAL.gen("b", 3)
+        DUAL.gen("c", 3) * DUAL.gen("b", 3)
     # whole-word rewriting, the engine of brute_force_nf, keeps the same cap
     with pytest.raises(RewriteLimitError) as err:
-        DDUAL.brute_force_nf([("alpha", 1), ("c", 1), ("b", -1)], 0)
+        DUAL.brute_force_nf([("alpha", 1), ("c", 1), ("b", -1)], 0)
     assert str(err.value) == (
         "rewriting in 'dual' exceeded the step cap of 0 at a word of "
         "length 3, applying the rule for c*b^-1"
@@ -381,7 +386,7 @@ _SCALES = (
 
 def _pair_table_algebras():
     presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
-    presentations.append(derive_inverse_rules(load_presentation(TWIST)))
+    presentations.append(load_presentation(TWIST))
     return presentations
 
 
@@ -402,15 +407,15 @@ def test_pair_table_products_match_whole_word_rewriting_fuzz(monkeypatch):
 
 
 def test_pair_table_rows_can_cancel_to_zero(monkeypatch):
-    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
     # alpha b * delta b = q alpha delta b^2 and delta b * alpha b is its
     # negative; alpha b * alpha b repeats an odd letter
     x = scalar(Fraction(3, 7)) * Q * (
-        DDUAL.normal_form([("alpha", 1), ("b", 1)])
-        + DDUAL.normal_form([("delta", 1), ("b", 1)])
+        DUAL.normal_form([("alpha", 1), ("b", 1)])
+        + DUAL.normal_form([("delta", 1), ("b", 1)])
     )
     assert (x * x).terms == ()
-    rows = [row for row in DDUAL._pair_table.values() if row]
+    rows = [row for row in DUAL._pair_table.values() if row]
     assert len(rows) == 2
     assert rows[0][0][0] == rows[1][0][0]
 
@@ -427,15 +432,15 @@ def test_repeated_product_adds_no_table_entry():
 
 
 def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
-    monkeypatch.setattr(DDUAL, "_pair_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
     s = scalar(Fraction(3, 7)) * Q
-    x = DDUAL.normal_form([("c", 3), ("alpha", 1)]) + DDUAL.gen("delta")
-    y = DDUAL.gen("b", 2) + DDUAL.normal_form([("alpha", 1), ("b", -1)])
+    x = DUAL.normal_form([("c", 3), ("alpha", 1)]) + DUAL.gen("delta")
+    y = DUAL.gen("b", 2) + DUAL.normal_form([("alpha", 1), ("b", -1)])
     scaled = (s * x) * y
-    assert DDUAL._pair_table
-    for (m1, m2), row in DDUAL._pair_table.items():
-        want = _whole_word_nf(DDUAL, m1 + m2)
-        assert DDUAL._element(dict(row)).terms == want.terms
+    assert DUAL._pair_table
+    for (m1, m2), row in DUAL._pair_table.items():
+        want = _whole_word_nf(DUAL, m1 + m2)
+        assert DUAL._element(dict(row)).terms == want.terms
     assert scaled.terms == (s * (x * y)).terms
 
 
@@ -458,7 +463,7 @@ def test_cold_suite_at_n20():
 
 def test_normal_form_is_idempotent_fuzz():
     rng = random.Random(77003)
-    for pres in (DDUAL, GL, PLANE, DPLANE):
+    for pres in (DUAL, GL, PLANE, DPLANE):
         for _ in range(80):
             x = random_element(pres, rng)
             rebuilt = pres.zero()
@@ -470,7 +475,7 @@ def test_normal_form_is_idempotent_fuzz():
 def test_confluence_fuzz():
     """Seeded random reduction orders all reach the deterministic answer."""
     rng = random.Random(616)
-    presentations = (DDUAL, GL, PLANE, DPLANE)
+    presentations = (DUAL, GL, PLANE, DPLANE)
     for i in range(504):
         pres = presentations[i % len(presentations)]
         word = random_word(pres, rng, 8)
@@ -603,7 +608,7 @@ def test_oracle_sees_a_non_confluent_descriptor():
 # -- tensor products ---------------------------------------------------------
 
 def test_tensor_sign_convention():
-    two = tensor(DDUAL, rename(DDUAL, "2"))
+    two = tensor(DUAL, rename(DUAL, "2"))
     al, al2 = two.gen("alpha"), two.gen("alpha2")
     b, b2 = two.gen("b"), two.gen("b2")
     assert al2 * al == -(al * al2)  # odd  x odd  anticommute

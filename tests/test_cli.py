@@ -12,12 +12,12 @@ from qdual import cli
 from qdual.algebra import render_element
 from qdual.checks import CheckReport
 from qdual.parsing import parse_element
-from qdual.presentations import derive_inverse_rules, dual_algebra
+from qdual.presentations import dual_algebra
 from qdual.supermatrix import identity
 
 from helpers import random_element
 
-DDUAL = derive_inverse_rules(dual_algebra())
+DUAL = dual_algebra()
 
 
 def run(capsys, *argv):
@@ -86,6 +86,22 @@ def test_nf_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "nf", "--algebra", "nosuch", "b")
     assert code == 2 and "unknown algebra" in err
+
+
+def test_nf_non_utf8_descriptor_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"generator u even\n\xff\xfe\n")
+    code, out, err = run(capsys, "nf", "--algebra", str(path), "u")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: not UTF-8 text (byte 17)\n"
+
+
+def test_nf_deep_nesting_exits_2(capsys):
+    code, out, err = run(capsys, "nf", "(" * 2000 + "b" + ")" * 2000)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: parentheses nested more than 100 deep (at position 100)\n"
+    )
 
 
 def test_builtin_algebras_are_one_object_each(capsys):
@@ -232,11 +248,11 @@ def test_verify_bad_max_n(capsys):
 def test_cli_round_trip_small_fuzz(capsys):
     rng = random.Random(2024)
     for _ in range(25):
-        x = random_element(DDUAL, rng)
+        x = random_element(DUAL, rng)
         # "--" keeps argparse from reading a leading minus sign as a flag
         code, out, _ = run(capsys, "nf", "--", str(x))
         assert code == 0
-        assert parse_element(out.strip(), DDUAL) == x
+        assert parse_element(out.strip(), DUAL) == x
 
 
 def test_verify_machine_output_matches_the_recorded_run(capsys):

@@ -24,7 +24,6 @@ from qdual import supermatrix as sm
 from qdual.algebra import render_element
 from qdual.parsing import parse_element
 from qdual.presentations import (
-    derive_inverse_rules,
     dual_algebra,
     dual_superplane,
     gl_algebra,
@@ -67,7 +66,7 @@ _EXPRESSIONS = {
 
 
 def _algebras():
-    dual = derive_inverse_rules(dual_algebra())
+    dual = dual_algebra()
     return {
         "dual": dual,
         "gl": gl_algebra(),

@@ -8,7 +8,6 @@ from qdual import algebra
 from qdual.algebra import render_element
 from qdual.parsing import ParseError, parse_element, parse_raw_terms
 from qdual.presentations import (
-    derive_inverse_rules,
     dual_algebra,
     dual_superplane,
     gl_algebra,
@@ -20,47 +19,47 @@ from qdual.qfield import Q, q_power
 
 from helpers import random_element
 
-DDUAL = derive_inverse_rules(dual_algebra())
+DUAL = dual_algebra()
 GL = gl_algebra()
 
 
 def test_parse_basic_expressions():
-    assert parse_element("c*b", DDUAL) == DDUAL.gen("c") * DDUAL.gen("b")
-    assert parse_element("c*b - q*delta*alpha", DDUAL) == (
-        DDUAL.gen("c") * DDUAL.gen("b")
-        - Q * (DDUAL.gen("delta") * DDUAL.gen("alpha"))
+    assert parse_element("c*b", DUAL) == DUAL.gen("c") * DUAL.gen("b")
+    assert parse_element("c*b - q*delta*alpha", DUAL) == (
+        DUAL.gen("c") * DUAL.gen("b")
+        - Q * (DUAL.gen("delta") * DUAL.gen("alpha"))
     )
-    assert parse_element("q^-1 * b^2", DDUAL) == q_power(-1) * DDUAL.gen("b", 2)
-    assert parse_element("3", DDUAL) == DDUAL.scalar(3)
-    assert parse_element("1/2 * b", DDUAL) == DDUAL.normal_form(
+    assert parse_element("q^-1 * b^2", DUAL) == q_power(-1) * DUAL.gen("b", 2)
+    assert parse_element("3", DUAL) == DUAL.scalar(3)
+    assert parse_element("1/2 * b", DUAL) == DUAL.normal_form(
         [("b", 1)], q_power(0) / 2
     )
 
 
 def test_parse_unary_minus_and_parens():
-    assert parse_element("-alpha*delta + b*c", DDUAL) == (
-        DDUAL.gen("b") * DDUAL.gen("c")
-        - DDUAL.gen("alpha") * DDUAL.gen("delta")
+    assert parse_element("-alpha*delta + b*c", DUAL) == (
+        DUAL.gen("b") * DUAL.gen("c")
+        - DUAL.gen("alpha") * DUAL.gen("delta")
     )
-    assert parse_element("-(b - c)", DDUAL) == DDUAL.gen("c") - DDUAL.gen("b")
-    assert parse_element("(q^2 - 1)/(q)*alpha*delta", DDUAL) == (
+    assert parse_element("-(b - c)", DUAL) == DUAL.gen("c") - DUAL.gen("b")
+    assert parse_element("(q^2 - 1)/(q)*alpha*delta", DUAL) == (
         (Q * Q - q_power(0)) / Q
-    ) * (DDUAL.gen("alpha") * DDUAL.gen("delta"))
+    ) * (DUAL.gen("alpha") * DUAL.gen("delta"))
 
 
 def test_parse_inverse_letters():
-    got = parse_element("b*c^-1 - alpha*c^-1*delta*c^-1", DDUAL)
+    got = parse_element("b*c^-1 - alpha*c^-1*delta*c^-1", DUAL)
     assert render_element(got) == "b*c^-1 - (1)/(q)*alpha*delta*c^-2"
     # a whole parenthesized monomial can be inverted letterwise
-    assert parse_element("(q*b*c)^-1", DDUAL) == q_power(-1) * (
-        DDUAL.gen("c", -1) * DDUAL.gen("b", -1)
+    assert parse_element("(q*b*c)^-1", DUAL) == q_power(-1) * (
+        DUAL.gen("c", -1) * DUAL.gen("b", -1)
     )
 
 
 def test_parse_scalar_division():
-    assert parse_element("b/2", DDUAL) == parse_element("1/2*b", DDUAL)
-    assert parse_element("b/(q - q^-1)", DDUAL) == (
-        (Q - q_power(-1)).inv() * DDUAL.gen("b")
+    assert parse_element("b/2", DUAL) == parse_element("1/2*b", DUAL)
+    assert parse_element("b/(q - q^-1)", DUAL) == (
+        (Q - q_power(-1)).inv() * DUAL.gen("b")
     )
 
 
@@ -81,9 +80,24 @@ def test_parse_scalar_division():
 ])
 def test_parse_errors(text, message, position):
     with pytest.raises(ParseError) as err:
-        parse_element(text, DDUAL)
+        parse_element(text, DUAL)
     assert message in str(err.value)
     assert err.value.position == position
+
+
+def test_deep_nesting_is_rejected_before_any_algebra(monkeypatch):
+    # 100 levels parse; the 101st opening parenthesis is refused, well
+    # before the recursive descent could exhaust the interpreter's stack
+    assert parse_element("(" * 100 + "b" + ")" * 100, DUAL) == DUAL.gen("b")
+    monkeypatch.setattr(DUAL, "normal_form", None)  # any algebra would fail
+    for depth in (101, 2000):
+        with pytest.raises(ParseError) as err:
+            parse_element("(" * depth + "b" + ")" * depth, DUAL)
+        assert "parentheses nested more than 100 deep" in str(err.value)
+        assert err.value.position == 100
+    with pytest.raises(ParseError) as err:
+        parse_raw_terms("(" * 2000 + "1" + ")" * 2000, {})
+    assert err.value.position == 100
 
 
 def test_parse_error_in_gl_for_undeclared_inverse():
@@ -96,11 +110,11 @@ def test_round_trip_fuzz():
     """render -> parse is the identity on ≥200 random normal forms."""
     rng = random.Random(140)
     presentations = (
-        DDUAL,
+        DUAL,
         GL,
         superplane(),
         dual_superplane(),
-        tensor(DDUAL, rename(DDUAL, "2")),
+        tensor(DUAL, rename(DUAL, "2")),
     )
     done = 0
     while done < 210:
@@ -144,9 +158,9 @@ def _raw_oracle(text, pres):
 def test_element_backend_matches_raw_expansion_fuzz():
     rng = random.Random(20260)
     cases = (
-        (DDUAL, ["b", "c", "alpha", "delta", "(c*b)", "(b*c^-1)"]),
+        (DUAL, ["b", "c", "alpha", "delta", "(c*b)", "(b*c^-1)"]),
         (GL, ["a", "d", "beta", "gamma"]),
-        (tensor(DDUAL, superplane()), ["b", "c", "alpha", "x", "xi"]),
+        (tensor(DUAL, superplane()), ["b", "c", "alpha", "x", "xi"]),
     )
     outcomes = {"value": 0, "error": 0}
     for pres, names in cases:
@@ -174,13 +188,13 @@ def test_element_backend_matches_raw_expansion_fuzz():
 ])
 def test_errors_are_decided_on_the_raw_shape(text, message, position):
     with pytest.raises(ParseError) as err:
-        parse_element(text, DDUAL)
+        parse_element(text, DUAL)
     assert message in str(err.value)
     assert err.value.position == position
 
 
 def test_negative_power_inverts_the_raw_word():
     # c*b has two normal-form terms, but its raw expansion is one word
-    got = parse_element("(c*b)^-1", DDUAL)
-    assert got == DDUAL.gen("b", -1) * DDUAL.gen("c", -1)
-    assert got * parse_element("c*b", DDUAL) == DDUAL.one()
+    got = parse_element("(c*b)^-1", DUAL)
+    assert got == DUAL.gen("b", -1) * DUAL.gen("c", -1)
+    assert got * parse_element("c*b", DUAL) == DUAL.one()

@@ -4,6 +4,7 @@ import pytest
 
 from qdual import cli
 from qdual.algebra import EVEN, ODD, PresentationError, render_element
+from qdual.parsing import parse_element
 from qdual.presentations import (
     derive_inverse_rules,
     dual_algebra,
@@ -33,8 +34,7 @@ def test_builtin_shapes():
 def test_builtins_are_cached():
     assert dual_algebra() is dual_algebra()
     assert gl_algebra() is gl_algebra()
-    d = derive_inverse_rules(dual_algebra())
-    assert derive_inverse_rules(dual_algebra()) is d
+    d = dual_algebra()
     assert rename(d, "2") is rename(d, "2")
     assert rename(d, "2") is not rename(d, "3")
     t = tensor(gl_algebra(), superplane())
@@ -68,23 +68,40 @@ def test_unit_coefficients_are_the_one_singleton():
     # the engine skips multiplications by `is ONE`; a unit coefficient that
     # is a fresh object (parsed, or from lam.inv()) makes it do them all
     algebras = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
-    algebras.append(derive_inverse_rules(load_presentation(DUAL_TEXT, "copy")))
+    algebras.append(load_presentation(DUAL_TEXT, "copy"))
+    # v*u = q^-1*u*v - q^-1 implies single-inverse rules whose correction
+    # coefficient -(lam^-1 * mu) is a unit computed by a product
+    algebras.append(load_presentation(
+        "generator u even invertible\ngenerator v even invertible\n"
+        "rule v*u = q^-1*u*v - q^-1\n", "units"))
     units = [
-        (pres.name, c)
+        (pres.name, key, c)
         for pres in algebras
-        for lam, corr in pres._rules.values()
+        for key, (lam, corr) in pres._rules.items()
         for c in (lam, *(mu for mu, _ in corr))
         if c == ONE
     ]
-    assert units
-    assert [name for name, c in units if c is not ONE] == []
+    # the rules implied inside Presentation.__init__ have unit coefficients too
+    assert any(-1 in key[1::2] for _, key, _ in units)
+    assert [(name, key) for name, key, c in units if c is not ONE] == []
 
 
 def test_derive_inverse_rules_is_idempotent():
-    d = derive_inverse_rules(dual_algebra())
-    assert d.derived
-    assert derive_inverse_rules(d) is d
-    assert not dual_algebra().derived
+    # every presentation is built with its inverse-letter rules, so the
+    # old derive step hands back its argument
+    algebras = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
+    algebras.append(load_presentation(DESCRIPTOR, name="twist"))
+    for pres in algebras:
+        assert derive_inverse_rules(pres) is pres
+    assert dual_algebra() is derive_inverse_rules(dual_algebra())
+    assert not hasattr(dual_algebra(), "derived")
+    # elements of the two spellings mix
+    got = dual_algebra().gen("b") * derive_inverse_rules(dual_algebra()).gen("c")
+    assert render_element(got) == "b*c"
+    # the CLI's dualxplane is the tensor product of the public builders
+    assert tensor(dual_algebra(), superplane()) is (
+        cli._BUILTIN_ALGEBRAS["dualxplane"]()
+    )
 
 
 def test_tensor_default_name():
@@ -110,10 +127,13 @@ def test_descriptor_round_trip():
     assert [g.name for g in pres.generators] == ["u", "theta"]
     got = pres.normal_form([("theta", 1), ("u", 1)])
     assert got == pres.normal_form([("u", 1), ("theta", 1)], Q * Q)
-    derived = derive_inverse_rules(pres)
-    th = derived.gen("theta")
-    ui = derived.gen("u", -1)
+    # a loaded descriptor inverts u with no further call
+    th = pres.gen("theta")
+    ui = pres.gen("u", -1)
     assert th * ui == q_power(-2) * (ui * th)
+    assert render_element(parse_element("theta*u^-1", pres)) == (
+        "(1)/(q^2)*u^-1*theta"
+    )
 
 
 def test_descriptor_with_correction_term():
@@ -143,13 +163,12 @@ def test_descriptor_file(tmp_path):
 
 def test_descriptor_loads_are_interned():
     pres = load_presentation(DESCRIPTOR, name="twist")
-    derived = derive_inverse_rules(pres)
-    size = derive_inverse_rules.cache_info().currsize
+    ui = pres.gen("u", -1)
     for _ in range(2000):
         again = load_presentation(DESCRIPTOR, name="twist")
         assert again is pres
-        assert derive_inverse_rules(again) is derived
-    assert derive_inverse_rules.cache_info().currsize == size
+        # elements of separate loads mix, inverse letters included
+        assert again.gen("theta") * ui == pres.gen("theta") * ui
     # the name and the rules are part of the structure
     assert load_presentation(DESCRIPTOR, name="other") is not pres
     steeper = DESCRIPTOR.replace("q^2", "q^3")
@@ -198,10 +217,11 @@ def test_descriptor_rejections(text, fragment):
 
 
 def test_builtin_corrections_keep_the_odd_letters_of_their_pair():
-    # built-in and derived rule tables skip validation; they must still obey
-    # the rule that makes a repeated odd letter zero
-    d = derive_inverse_rules(dual_algebra())
-    for pres in (dual_algebra(), d, gl_algebra(), superplane(),
+    # the implied inverse-letter rules and the tensor and rename copies skip
+    # validation; they must still obey the rule that makes a repeated odd
+    # letter zero
+    d = dual_algebra()
+    for pres in (d, gl_algebra(), superplane(),
                  dual_superplane(), tensor(gl_algebra(), superplane()),
                  tensor(d, superplane()),
                  tensor(d, rename(d, "2"), name="dualxdual")):

@@ -5,7 +5,6 @@ import pytest
 from qdual.algebra import AlgebraMismatchError, is_central, render_element
 from qdual.parsing import parse_element
 from qdual.presentations import (
-    derive_inverse_rules,
     dual_algebra,
     dual_superplane,
     gl_algebra,
@@ -35,9 +34,9 @@ from qdual.supermatrix import (
     transform_plane,
 )
 
-DDUAL = derive_inverse_rules(dual_algebra())
+DUAL = dual_algebra()
 GL = gl_algebra()
-MAT = dual_generator_matrix(DDUAL)
+MAT = dual_generator_matrix(DUAL)
 GLMAT = gl_generator_matrix(GL)
 
 
@@ -46,20 +45,20 @@ GLMAT = gl_generator_matrix(GL)
 def test_generator_matrices():
     assert MAT.fmt == "dual"
     assert MAT.entries == (
-        DDUAL.gen("alpha"), DDUAL.gen("b"), DDUAL.gen("c"), DDUAL.gen("delta")
+        DUAL.gen("alpha"), DUAL.gen("b"), DUAL.gen("c"), DUAL.gen("delta")
     )
     assert GLMAT.fmt == "gl"
     assert GLMAT.e12 == GL.gen("beta")
 
 
 def test_scalar_entries_are_coerced():
-    m = SuperMatrix(0, DDUAL.gen("b"), 1, 0, fmt="dual")
-    assert m.e11 == DDUAL.zero()
-    assert m.e21 == DDUAL.one()
+    m = SuperMatrix(0, DUAL.gen("b"), 1, 0, fmt="dual")
+    assert m.e11 == DUAL.zero()
+    assert m.e21 == DUAL.one()
 
 
 def test_format_validation():
-    al, b = DDUAL.gen("alpha"), DDUAL.gen("b")
+    al, b = DUAL.gen("alpha"), DUAL.gen("b")
     with pytest.raises(MatrixFormatError):
         SuperMatrix(b, al, al, b, fmt="dual")  # even diagonal is not dual
     with pytest.raises(ValueError):
@@ -67,14 +66,14 @@ def test_format_validation():
     with pytest.raises(TypeError):
         SuperMatrix(1, 0, 0, 1)  # no entry pins down the algebra
     with pytest.raises(AlgebraMismatchError):
-        SuperMatrix(DDUAL.gen("alpha"), DDUAL.gen("b"), GL.gen("gamma"), 0)
+        SuperMatrix(DUAL.gen("alpha"), DUAL.gen("b"), GL.gen("gamma"), 0)
 
 
 def test_immutability_and_equality():
     with pytest.raises(AttributeError):
-        MAT.e11 = DDUAL.zero()
-    assert MAT == dual_generator_matrix(DDUAL)
-    assert hash(MAT) == hash(dual_generator_matrix(DDUAL))
+        MAT.e11 = DUAL.zero()
+    assert MAT == dual_generator_matrix(DUAL)
+    assert hash(MAT) == hash(dual_generator_matrix(DUAL))
     untagged = SuperMatrix(*MAT.entries)
     assert untagged.fmt is None and untagged == MAT and hash(untagged) == hash(MAT)
     assert MAT != GLMAT
@@ -83,7 +82,7 @@ def test_immutability_and_equality():
 # -- products and powers -----------------------------------------------------
 
 def test_identity_laws():
-    eye = identity(DDUAL)
+    eye = identity(DUAL)
     assert matmul(eye, MAT) == MAT
     assert matmul(MAT, eye) == MAT
     assert MAT @ eye == MAT
@@ -113,8 +112,8 @@ def test_delta_combinations():
     assert render_element(delta1(MAT)) == "b*c + q*alpha*delta"
     assert render_element(delta2(MAT)) == "b*c - (1)/(q)*alpha*delta"
     d1, d2 = delta1(MAT), delta2(MAT)
-    b, c = DDUAL.gen("b"), DDUAL.gen("c")
-    al = DDUAL.gen("alpha")
+    b, c = DUAL.gen("b"), DUAL.gen("c")
+    al = DUAL.gen("alpha")
     assert d1 * b == b * d1
     assert d2 * c == c * d2
     assert d1 * al == (Q * Q) * (al * d1)
@@ -122,23 +121,23 @@ def test_delta_combinations():
 
 def test_left_inverse_is_two_sided():
     inv = left_inverse(MAT)
-    eye = identity(DDUAL)
+    eye = identity(DUAL)
     assert matmul(inv, MAT) == eye
     assert matmul(MAT, inv) == eye
 
 
 def test_inverse_of_the_flip_matrix():
-    flip = SuperMatrix(0, DDUAL.one(), DDUAL.one(), 0, fmt="dual")
+    flip = SuperMatrix(0, DUAL.one(), DUAL.one(), 0, fmt="dual")
     assert left_inverse(flip) == flip
-    assert matmul(flip, flip) == identity(DDUAL)
+    assert matmul(flip, flip) == identity(DUAL)
 
 
 def test_decomposition_reconstitutes():
     first, second = decomposition_factors(MAT)
     assert matmul(first, second) == MAT
-    assert second.e11 == DDUAL.one()
-    assert second.e21 == DDUAL.zero()
-    assert first.e22 == DDUAL.zero()
+    assert second.e11 == DUAL.one()
+    assert second.e21 == DUAL.zero()
+    assert first.e22 == DUAL.zero()
 
 
 def test_inverse_via_decomposition_matches():
@@ -148,28 +147,28 @@ def test_inverse_via_decomposition_matches():
 def test_sdet_value_and_centrality():
     s = sdet(MAT)
     assert render_element(s) == "b*c^-1 - (1)/(q)*alpha*delta*c^-2"
-    assert s == parse_element("b*c^-1 - alpha*c^-1*delta*c^-1", DDUAL)
+    assert s == parse_element("b*c^-1 - alpha*c^-1*delta*c^-1", DUAL)
     assert is_central(s)
-    assert not is_central(sdet(MAT) + DDUAL.gen("b"))
+    assert not is_central(sdet(MAT) + DUAL.gen("b"))
 
 
 # -- closed-form powers ------------------------------------------------------
 
 def test_closed_form_odd_base_case():
-    assert closed_form_odd(DDUAL, 1) == MAT
+    assert closed_form_odd(DUAL, 1) == MAT
 
 
 def test_powers_match_closed_forms():
     for n in (1, 2, 3):
-        assert MAT ** (2 * n - 1) == closed_form_odd(DDUAL, n)
-        assert MAT ** (2 * n) == closed_form_even(DDUAL, n)
+        assert MAT ** (2 * n - 1) == closed_form_odd(DUAL, n)
+        assert MAT ** (2 * n) == closed_form_even(DUAL, n)
 
 
 def test_closed_form_guards():
     with pytest.raises(ValueError):
-        closed_form_odd(DDUAL, 0)
+        closed_form_odd(DUAL, 0)
     with pytest.raises(ValueError):
-        closed_form_even(DDUAL, 0)
+        closed_form_even(DUAL, 0)
 
 
 # -- relation patterns -------------------------------------------------------
@@ -200,7 +199,7 @@ def test_gl_matrix_pattern():
 
 
 def test_product_of_two_dual_matrices_is_gl_type():
-    two = tensor(DDUAL, rename(DDUAL, "2"))
+    two = tensor(DUAL, rename(DUAL, "2"))
     m1 = dual_generator_matrix(two)
     m2 = dual_generator_matrix(two, suffix="2")
     prod = m1 @ m2
@@ -222,12 +221,12 @@ def test_gl_matrix_preserves_both_planes():
 
 
 def test_dual_matrix_swaps_the_planes():
-    t = tensor(DDUAL, superplane())
+    t = tensor(DUAL, superplane())
     mat = dual_generator_matrix(t)
     coords = (t.gen("x"), t.gen("xi"))
     assert transform_plane(mat, coords, "dual_plane", Q).ok
     assert not transform_plane(mat, coords, "plane", Q).ok
-    t2 = tensor(DDUAL, dual_superplane())
+    t2 = tensor(DUAL, dual_superplane())
     mat2 = dual_generator_matrix(t2)
     dual_coords = (t2.gen("eta"), t2.gen("y"))
     assert transform_plane(mat2, dual_coords, "plane", Q).ok

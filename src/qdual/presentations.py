@@ -265,7 +265,11 @@ def _descriptor(name, gens, rules):
 
 
 def load_presentation_file(path):
-    """Load a descriptor file, named by its path; it must be UTF-8 text."""
+    """Load a descriptor file, named by its path; it must be UTF-8 text.
+
+    Every :class:`PresentationError` raised while loading starts with
+    ``PATH: ``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -273,4 +277,7 @@ def load_presentation_file(path):
         raise PresentationError(
             f"{path}: not UTF-8 text (byte {e.start})"
         ) from None
-    return load_presentation(text, name=str(path))
+    try:
+        return load_presentation(text, name=str(path))
+    except PresentationError as e:
+        raise PresentationError(f"{path}: {e}") from None

@@ -15,21 +15,34 @@ a monic denominator is unique:
 * a polynomial product with a one-term factor is a shift and a scale;
 * a product of two polynomials (both denominators 1) is already reduced;
 * a quotient whose denominator divides its numerator is settled by one
-  division, and otherwise Euclid starts from that division's remainder;
+  division, and otherwise Euclid on short operands starts from that
+  division's remainder;
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
   ranges do not overlap concatenates them;
 * a power raises the numerator and the denominator apart;
 * :func:`qnum` builds its polynomial directly.
 
-A product of two integer polynomials with at least 64 term pairs is one
-big-integer product (Kronecker substitution): each operand is packed into
-64-bit slots, one slot per exponent step, and the slots of the product are
-read back in one pass.  It falls back to the term-by-term loop for
-``Fraction`` coefficients, for a coefficient of the product that could
-reach 2^63, and for operands so sparse that the slots would mostly be
-empty.  Division runs on a dense coefficient list, and evaluation uses
-Horner's rule on integers scaled by a power of the point's denominator.
+Long integer polynomials go through one big-integer kernel (Kronecker
+substitution): each operand is packed into signed 64-bit slots, one slot
+per exponent step, and the slots of the result are read back in one pass.
+It serves three jobs:
+
+* a product with at least 64 term pairs is one integer product;
+* an exact quotient, where long division would take 64 steps or more, is
+  one integer divmod, whose quotient counts only when the remainder is 0
+  and its slots bound every coefficient of quotient * divisor below 2^63;
+* a gcd of two integer polynomials with at least 64 term pairs and
+  coefficients below 2^62 is first tried by the heuristic GCDHEU (Char,
+  Geddes and Gonnet, 1989): the integer gcd of the packed primitive parts,
+  read back and accepted only when the quotient kernel divides both by it,
+  which proves it is the gcd.
+
+Each falls back, to the term-by-term loop, long division or Euclid over Q,
+for ``Fraction`` coefficients, for a coefficient that could reach 2^63, and
+for operands so sparse that the slots would mostly be empty.  Long
+division runs on a dense coefficient list, and evaluation uses Horner's
+rule on integers scaled by a power of the point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -46,8 +59,10 @@ they always reduce to honest polynomials.
 
 from __future__ import annotations
 
+import struct
 import sys
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
 
 
@@ -134,10 +149,12 @@ def _pmul(a, b):
 
 # Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): with the
 # exponents k0 + g*i of a polynomial put at q^g = 2^64, one integer product
-# computes every coefficient of a polynomial product, as long as each fits a
-# signed 64-bit slot.  A "q" memoryview writes and reads a slot in two's
-# complement; xor-ing 2^63 into every slot maps c to c + 2^63 in [0, 2^64),
-# where the slots add and carry like the digits of one unsigned integer.
+# computes every coefficient of a polynomial product, and one integer divmod
+# every coefficient of an exact quotient, as long as each fits a signed
+# 64-bit slot.  struct and memoryview write and read the slots in native
+# two's complement; xor-ing 2^63 into every slot maps c to c + 2^63 in
+# [0, 2^64), where the slots add and carry like the digits of one unsigned
+# integer.
 
 
 def _koffset(n):
@@ -145,40 +162,129 @@ def _koffset(n):
     return int.from_bytes(b"\0\0\0\0\0\0\0\x80" * n, "little")
 
 
-def _kpack(a, g):
-    # sum c * 2^(64 (k - k0) / g) over the terms of a, for coefficients
-    # below 2^63 in size; a Fraction raises TypeError
-    k0 = a[0][0]
-    n = (a[-1][0] - k0) // g + 1
-    buf = bytearray(8 * n)
-    slots = memoryview(buf).cast("q")
-    for k, c in a:
-        slots[(k - k0) // g] = c
+def _kstride(ks):
+    # the step of evenly spaced exponents, else the gcd of their offsets;
+    # 0 for a single term
+    if len(ks) == 1:
+        return 0
+    k0 = ks[0]
+    s = ks[1] - k0
+    if ks == tuple(range(k0, k0 + s * len(ks), s)):
+        return s
+    return gcd(*[k - k0 for k in ks])
+
+
+def _kbound(cs):
+    return max(max(cs), -min(cs))
+
+
+def _kpack(ks, cs, g):
+    # sum c * 2^(64 (k - k0) / g) over the terms; struct.error for a
+    # Fraction coefficient or one of 2^63 or more in size
+    n = (ks[-1] - ks[0]) // g + 1
+    if n != len(cs):
+        full = [0] * n
+        k0 = ks[0]
+        for k, c in zip(ks, cs):
+            full[(k - k0) // g] = c
+        cs = full
     off = _koffset(n)
-    return (int.from_bytes(buf, sys.byteorder) ^ off) - off
+    return (int.from_bytes(struct.pack(f"{n}q", *cs), sys.byteorder) ^ off) - off
+
+
+def _kunpack(p, n, k0, g):
+    # the polynomial whose coefficients at q^(k0 + g*i) are the n signed
+    # slots of p, or None when p does not fit n slots
+    off = _koffset(n)
+    try:
+        buf = ((p + off) ^ off).to_bytes(8 * n, sys.byteorder)
+    except OverflowError:
+        return None
+    cs = memoryview(buf).cast("q").tolist()
+    return tuple(compress(zip(range(k0, k0 + g * n, g), cs), cs))
 
 
 def _kmul(a, b):
     # a * b by Kronecker substitution, or None where it does not apply: a
     # Fraction coefficient, a coefficient of the product that could reach
     # 2^63, or operands so sparse that the integers would mostly hold zeros
-    la, lb = len(a), len(b)
-    ka, kb = a[0][0], b[0][0]
-    g = gcd(*[k - ka for k, _ in a], *[k - kb for k, _ in b])
-    n = (a[-1][0] - ka + b[-1][0] - kb) // g + 1
-    if n > 4 * (la + lb):
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
+    g = gcd(_kstride(ka), _kstride(kb))
+    n = (ka[-1] - ka[0] + kb[-1] - kb[0]) // g + 1
+    if n > 4 * (len(a) + len(b)):
         return None
-    bound = max(abs(c) for _, c in a) * max(abs(c) for _, c in b) * min(la, lb)
-    if bound >= 1 << 63:
+    if _kbound(ca) * _kbound(cb) * min(len(a), len(b)) >= 1 << 63:
         return None
     try:
-        p = _kpack(a, g) * _kpack(b, g)
+        p = _kpack(ka, ca, g) * _kpack(kb, cb, g)
+    except struct.error:
+        return None
+    return _kunpack(p, n, ka[0] + kb[0], g)
+
+
+def _kdiv(a, b):
+    # the polynomial a / b by one big-integer divmod, or None: when b does
+    # not divide a, and also when a coefficient or the quotient does not
+    # fit the slots or the operands are too sparse.  A zero remainder whose
+    # quotient fits n signed slots, with max|quo| * max|b| * min(len) below
+    # 2^63, proves quo * b = a term by term: every coefficient of quo * b
+    # then fits a slot, and a balanced base-2^64 expansion is unique
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
+    if ka[0] < kb[0]:
+        return None
+    g = gcd(_kstride(ka), _kstride(kb))
+    na = (ka[-1] - ka[0]) // g + 1
+    n = na - (kb[-1] - kb[0]) // g
+    if n < 1 or na > 4 * (len(a) + len(b)):
+        return None
+    try:
+        quo, rem = divmod(_kpack(ka, ca, g), _kpack(kb, cb, g))
+    except struct.error:
+        return None
+    if rem:
+        return None
+    quo = _kunpack(quo, n, ka[0] - kb[0], g)
+    if quo is None:
+        return None
+    _, cq = zip(*quo)
+    if _kbound(cq) * _kbound(cb) * min(len(cq), len(cb)) >= 1 << 63:
+        return None
+    return quo
+
+
+def _hgcd(a, b):
+    # GCDHEU (B. Char, K. Geddes, G. Gonnet, J. Symbolic Comput. 7, 1989)
+    # for two integer polynomials with nonzero constant terms and
+    # coefficients below 2^62, or None.  The primitive parts are evaluated
+    # at q^g = 2^64, and the balanced slots of their integer gcd, made
+    # primitive, give a candidate h; the gcd is positive, so the leading
+    # slot of h is too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd
+    # when it divides both (the CGG theorem), and _kdiv checks exactly that
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
+    try:
+        ga, gb = gcd(*ca), gcd(*cb)
     except TypeError:
         return None
-    off = _koffset(n)
-    slots = memoryview(((p + off) ^ off).to_bytes(8 * n, sys.byteorder)).cast("q")
-    k0 = ka + kb
-    return tuple([(k, c) for k, c in zip(range(k0, k0 + g * n, g), slots) if c])
+    if max(_kbound(ca), _kbound(cb)) >= 1 << 62:
+        return None
+    g = gcd(_kstride(ka), _kstride(kb))
+    if max(ka[-1], kb[-1]) // g + 1 > 4 * (len(a) + len(b)):
+        return None
+    ca = [c // ga for c in ca]
+    cb = [c // gb for c in cb]
+    h = _kunpack(gcd(_kpack(ka, ca, g), _kpack(kb, cb, g)),
+                 min(ka[-1], kb[-1]) // g + 1, 0, g)
+    if h is None:
+        return None
+    _, ch = zip(*h)
+    content = gcd(*ch)
+    h = tuple((k, c // content) for k, c in h)
+    if _kdiv(tuple(zip(ka, ca)), h) is None or _kdiv(tuple(zip(kb, cb)), h) is None:
+        return None
+    return h
 
 
 def _ppow(a, k):
@@ -238,18 +344,24 @@ def _pmonic(a):
 
 
 def _pgcd(a, b):
-    # monic gcd of two nonzero polynomials.  The power of q they share is
-    # found without division, and it is the whole gcd when either is a
-    # Laurent monomial c*q^k, which is remarkably often the case (most
-    # coefficients in the rewriting engine are monomials in q)
+    # a gcd of two nonzero polynomials, up to a constant factor: primitive
+    # with a positive leading coefficient from GCDHEU at 64 term pairs or
+    # more, else monic from Euclid over Q, which is cheaper on short
+    # operands.  The power of q they share is found without division,
+    # and it is the whole gcd when either is a Laurent monomial c*q^k, which
+    # is remarkably often the case (most coefficients in the rewriting
+    # engine are monomials in q)
     m = min(a[0][0], b[0][0])
     if len(a) == 1 or len(b) == 1:
         return ((m, 1),)
     a = _pshift(a, -a[0][0])
     b = _pshift(b, -b[0][0])
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pshift(_pmonic(a), m)
+    g = _hgcd(a, b) if len(a) * len(b) >= 64 else None
+    if g is None:
+        while b:
+            a, b = b, _pdivmod(a, b)[1]
+        g = _pmonic(a)
+    return _pshift(g, m)
 
 
 def _pstr(a):
@@ -300,17 +412,25 @@ class QRational:
             return ZERO
         if len(num) > 1 and len(den) > 1:
             # a quotient of polynomials is often exact (a Gaussian binomial
-            # is one), and then one division settles it; otherwise Euclid
-            # goes on from the remainder, as gcd(num, den) = gcd(den, rem)
-            quo, rem = _pdivmod(num, den)
-            if not rem:
-                return QRational(quo, _PONE)
-            g = _pgcd(den, rem)
+            # is one), and then one division settles it: an integer divmod
+            # where long division would take 64 steps or more
+            if (len(num) - len(den) + 1) * (len(den) - 1) >= 64:
+                quo = _kdiv(num, den)
+                if quo is not None:
+                    return QRational(quo, _PONE)
+                g = _pgcd(num, den)
+            else:
+                quo, rem = _pdivmod(num, den)
+                if not rem:
+                    return QRational(quo, _PONE)
+                # GCDHEU takes num and den at 64 term pairs or more; Euclid
+                # goes on from the remainder, as gcd(num, den) = gcd(den, rem)
+                g = _pgcd(num, den) if len(num) * len(den) >= 64 else _pgcd(den, rem)
         else:
             g = _pgcd(num, den)
         if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
+            num = _kdiv(num, g) or _pdivmod(num, g)[0]
+            den = _kdiv(den, g) or _pdivmod(den, g)[0]
         elif g[0][0]:
             # the gcd is a power of q: cancel it by shifting exponents
             num = _pshift(num, -g[0][0])
@@ -512,4 +632,4 @@ def qnum(n, k=1):
         raise ValueError("qnum requires k >= 1")
     if n == 0:
         return ZERO
-    return QRational(tuple((2 * k * j, 1) for j in range(n)), _PONE)
+    return QRational(tuple(zip(range(0, 2 * k * n, 2 * k), repeat(1, n))), _PONE)

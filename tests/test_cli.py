@@ -77,8 +77,8 @@ def test_nf_descriptor_that_drops_an_odd_letter_exits_2(capsys, tmp_path):
     )
     code, out, err = run(capsys, "nf", "--algebra", str(path), "theta*u*theta")
     assert code == 2 and out == ""
-    assert err.startswith("error: correction in rule (u, theta) drops the odd "
-                          "letter 'theta'")
+    assert err.startswith(f"error: {path}: correction in rule (u, theta) drops "
+                          "the odd letter 'theta'")
 
 
 def test_nf_errors_exit_2(capsys):
@@ -94,6 +94,19 @@ def test_nf_non_utf8_descriptor_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "nf", "--algebra", str(path), "u")
     assert code == 2 and out == ""
     assert err == f"error: {path}: not UTF-8 text (byte 17)\n"
+
+
+def test_nf_descriptor_rule_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "unknown.txt"
+    path.write_text(
+        "generator u even\n"
+        "generator v even\n"
+        "rule v*u = u*v*w\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "nf", "--algebra", str(path), "u")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: line 3: unknown generator 'w' (at position 4)\n"
 
 
 def test_nf_deep_nesting_exits_2(capsys):

@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from qdual.qfield import (
     QRational,
     ZERO,
     _padd,
+    _kdiv,
     _kmul,
     _pdivmod,
     _pgcd,
@@ -505,26 +507,192 @@ def _gcd_make(num, den):
     return QRational(_canon(dict(num)), den)
 
 
+def _counting(monkeypatch, *names):
+    # replace each named qfield kernel by a wrapper that logs its calls
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _f=getattr(qfield, name), _log=calls[name]):
+            _log.append(args)
+            return _f(*args)
+        monkeypatch.setattr(qfield, name, counted)
+    return calls
+
+
 def test_exact_quotients_take_one_division(monkeypatch):
     num = den = ONE
     for i in range(5):
         num = num * qnum(12 - i)
         den = den * qnum(i + 1)
     inverse = den.inv()
-    calls = []
-    pdivmod = qfield._pdivmod
-
-    def counted(a, b):
-        calls.append((a, b))
-        return pdivmod(a, b)
-
-    monkeypatch.setattr(qfield, "_pdivmod", counted)
-    monkeypatch.setattr(qfield, "_pgcd", None)
+    calls = _counting(monkeypatch, "_kdiv", "_pdivmod", "_pgcd")
     got = num * inverse
-    assert calls == [(num.num, den.num)]
+    assert calls == {"_kdiv": [(num.num, den.num)], "_pdivmod": [], "_pgcd": []}
     monkeypatch.undo()
     assert _structure(got) == _structure(_gcd_make(num.num, den.num))
     assert got.den == ((0, 1),) and len(got.num) == 5 * 7 + 1
+
+
+def _assert_kdiv_agrees(a, b):
+    # _kdiv gives long division's quotient whenever it gives one, and a
+    # quotient only when long division leaves no remainder
+    got = _kdiv(a, b)
+    quo, rem = _pdivmod(a, b)
+    if got is not None:
+        assert not rem and got == quo
+        assert all(type(c) is int for _, c in got)
+    return got
+
+
+def test_kronecker_quotients_match_long_division_fuzz():
+    rng = random.Random(70007)
+    small = (1, -1, 2, -3, 5, -8, 13)
+    exact = 0
+    for _ in range(400):
+        # strides 1, 2, 3 and mixed, exponents offset both ways, negative
+        # and non-unit leading coefficients
+        s = rng.choice((1, 2, 3))
+        quo = _strided_poly(rng, rng.randint(1, 20), s, rng.randint(0, 6), small)
+        b = _strided_poly(rng, rng.randint(2, 12), rng.choice((s, 1, 2)),
+                          rng.randint(-3, 6), small)
+        a = _pmul(quo, b)
+        got = _assert_kdiv_agrees(a, b)
+        if got is not None:
+            exact += 1
+            assert got == quo
+        # a remainder of lower degree than b: no quotient
+        r = _strided_poly(rng, 2, 1, b[0][0], small)
+        if r[-1][0] < b[-1][0]:
+            assert _assert_kdiv_agrees(_padd(a, r), b) is None
+        # quo / 2 is not integral, so the exact quotient is a Fraction one
+        if any(c % 2 for _, c in quo):
+            assert _assert_kdiv_agrees(a, _pmul(b, ((0, 2),))) is None
+            assert _pdivmod(a, _pmul(b, ((0, 2),)))[1] == ()
+    assert exact > 300
+    # a Laurent quotient is not a polynomial one: q^-1 = (1 + q) / (q + q^2)
+    assert _assert_kdiv_agrees(((0, 1), (1, 1)), ((1, 1), (2, 1))) is None
+    # a Fraction coefficient falls back
+    halves = ((0, Fraction(1, 2)), (1, 1), (2, Fraction(1, 2)))
+    assert _assert_kdiv_agrees(halves, ((0, 1), (1, 1))) is None
+    assert _assert_kdiv_agrees(((0, 1), (2, 1)), halves[:2]) is None
+
+
+def test_kronecker_quotients_stay_exact_at_the_64_bit_boundary():
+    minus = ((0, 1), (1, -1))
+
+    def flat(c, n=8):
+        return tuple((i, c) for i in range(n))
+
+    # (1 - q) * c * [8]_q = c * (1 - q^8): max|quo| * max|b| * 2 must stay
+    # below 2^63
+    for c in ((1 << 62) - 1, -(1 << 62) + 1):
+        a = ((0, c), (8, -c))
+        assert _assert_kdiv_agrees(a, minus) == flat(c)
+    for c in (1 << 62, -(1 << 62)):
+        a = ((0, c), (8, -c))
+        assert _assert_kdiv_agrees(a, minus) is None
+        assert _pdivmod(a, minus) == (flat(c), ())
+    # (1 - 2q) * sum (2^i + 1) q^i = 2 - q - ... - q^(n-1) - (2^n + 2) q^n:
+    # the dividend fits the slots, and from n = 62 on the quotient
+    # outgrows the bound
+    b = ((0, 1), (1, -2))
+    for n in (60, 61, 62):
+        quo = tuple((i, (1 << i) + 1) for i in range(n))
+        a = _pmul(quo, b)
+        assert a[-1] == (n, -(1 << n) - 2) and len(a) == n + 1
+        assert _assert_kdiv_agrees(a, b) == (quo if n < 62 else None)
+        assert _pdivmod(a, b) == (quo, ())
+    # 2^62 (1 + q + q^2 - q^3 - q^4 - q^5) / (1 - q) = 2^62 (1 + 2q + 3q^2
+    # + 2q^3 + q^4): a quotient coefficient past the slots
+    a = tuple((i, (1 << 62) * (1 if i < 3 else -1)) for i in range(6))
+    quo = tuple((i, (1 << 62) * c) for i, c in enumerate((1, 2, 3, 2, 1)))
+    assert _assert_kdiv_agrees(a, minus) is None
+    assert _pdivmod(a, minus) == (quo, ())
+
+
+def test_heuristic_gcd_matches_euclid_and_sympy_fuzz(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+    rng = random.Random(70008)
+    coeffs = tuple(range(-9, 10))
+
+    def poly(degree, low=0):
+        p = _canon({low + i: rng.choice(coeffs) for i in range(degree + 1)})
+        return p if len(p) > 1 else ((low, 1), (low + degree + 1, 1))
+
+    def sympy_gcd(a, b):
+        pa, pb = (sympy.Poly.from_dict({(k,): c for k, c in p}, x, domain="ZZ")
+                  for p in (a, b))
+        return tuple((k, int(c)) for (k,), c in sorted(pa.gcd(pb).terms()))
+
+    def primitive(p):
+        # the associate with coprime integer coefficients and a positive
+        # leading one
+        p = _pmonic(p)
+        scale = lcm(*[Fraction(c).denominator for _, c in p])
+        return tuple((k, int(c * scale)) for k, c in p)
+
+    cases = []
+    for _ in range(60):
+        # a common factor with a non-unit content, and a power of q
+        common = _pmul(poly(rng.randint(1, 8)), ((0, rng.choice((1, 2, 6, -4))),))
+        a = _pmul(common, poly(rng.randint(4, 16), rng.randint(0, 3)))
+        b = _pmul(common, poly(rng.randint(4, 16), rng.randint(0, 3)))
+        cases.append((a, b))
+    for _ in range(20):
+        cases.append((poly(rng.randint(8, 20)), poly(rng.randint(8, 20))))
+    heuristic = []
+    hgcd = qfield._hgcd
+
+    def counted(a, b):
+        g = hgcd(a, b)
+        heuristic.append(g is not None)
+        return g
+
+    monkeypatch.setattr(qfield, "_hgcd", counted)
+    got = [_pgcd(a, b) for a, b in cases]
+    monkeypatch.setattr(qfield, "_hgcd", lambda a, b: None)
+    euclid = [_pgcd(a, b) for a, b in cases]
+    for (a, b), g, e in zip(cases, got, euclid):
+        assert primitive(g) == primitive(e) == primitive(sympy_gcd(a, b))
+        if len(g) > 1:
+            assert g[-1][1] > 0 and gcd(*[c for _, c in g]) == 1
+    # GCDHEU runs at 64 term pairs or more, and settles every such case
+    long_cases = sum(len(a) * len(b) >= 64 for a, b in cases)
+    assert all(heuristic) and len(heuristic) == long_cases > 70
+
+
+def test_heuristic_gcd_falls_back_to_euclid(monkeypatch):
+    # coefficients of 2^62 or more, and Fraction ones, take Euclid
+    plus = ((0, 1), (1, 1))
+    big = ((0, 1 << 62), (1, 1))
+    assert qfield._hgcd(big, plus) is None
+    assert _pgcd(_pmul(big, plus), plus) == plus
+    halves = ((0, Fraction(1, 2)), (1, 1))
+    assert qfield._hgcd(halves, ((0, 1), (1, 2))) is None
+    assert _pgcd(halves, ((0, 1), (1, 2))) == ((0, Fraction(1, 2)), (1, 1))
+    # short operands take Euclid, which is cheaper there
+    a, b = _pmul(plus, ((0, 2), (1, 3))), _pmul(plus, ((0, -1), (2, 5)))
+    calls = _counting(monkeypatch, "_hgcd")
+    assert _pgcd(a, b) == plus and calls["_hgcd"] == []
+    monkeypatch.undo()
+    # a candidate counts only when it divides both inputs
+    assert qfield._hgcd(a, b) == plus
+    monkeypatch.setattr(qfield, "_kdiv", lambda a, b: None)
+    assert qfield._hgcd(a, b) is None
+
+
+def test_coprime_degree_80_quotient_takes_no_long_division(monkeypatch):
+    rng = random.Random(70009)
+    digits = [c for c in range(-9, 10) if c]
+    num = tuple((i, rng.choice(digits)) for i in range(81))
+    den = tuple((i, rng.choice(digits)) for i in range(81))
+    calls = _counting(monkeypatch, "_pdivmod", "_kdiv")
+    got = QRational._make(num, den)
+    assert calls["_pdivmod"] == [] and len(calls["_kdiv"]) == 3
+    # coprime: the value is only scaled to a monic denominator
+    lc = den[-1][1]
+    assert got.num == _canon({k: Fraction(c, lc) for k, c in num})
+    assert got.den == _canon({k: Fraction(c, lc) for k, c in den})
 
 
 def test_inexact_quotients_match_the_gcd_reduction():
@@ -537,7 +705,7 @@ def test_inexact_quotients_match_the_gcd_reduction():
             continue
         got = QRational._make(num, den)
         assert _structure(got) == _structure(_gcd_make(num, den))
-    # (q + 2)(q^3 + 1) / ((q + 2)(3q - 3)): a remainder, then one Euclid step
+    # (q + 2)(q^3 + 1) / ((q + 2)(3q - 3)): a remainder, then the gcd
     f = QRational._make(((0, 2), (1, 1), (3, 2), (4, 1)), ((0, -6), (1, 3), (2, 3)))
     assert str(f) == "(1/3*q^3 + 1/3)/(q - 1)"
 

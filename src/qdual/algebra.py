@@ -8,9 +8,11 @@ rank(j) > rank(i),
 
 with lam a nonzero scalar and C a combination of strictly smaller words.
 Odd generators square to zero and are never invertible; invertible even
-generators contribute inverse letters g^-1 that annihilate against g.  The
-exchange rules for inverse letters follow from the authored ones, and every
-presentation adds them when it is built.
+generators contribute inverse letters g^-1 that annihilate against g.  A
+presentation is built from authored rules for plain letters only, however
+it is constructed (descriptor, tensor product or renamed copy): the
+constructor validates them, then derives the exchange rules for inverse
+letters that they imply.
 
 Elements are finite Q(q)-linear combinations of normal-ordered monomials
 g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
@@ -21,7 +23,7 @@ of Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps
 two lazily filled maps, both at unit coefficient: the letter table, from
 (normal-form monomial m, letter x) to the normal form of m*x, and the pair
 table, from two normal-form monomials (m1, m2) to the normal form of m1*m2.
-The built-in presentations and their constructions are memoised (see
+Every presentation is interned by structure (see
 :mod:`qdual.presentations`), so there is one pair of tables per
 presentation and they live for the whole process.  A word is folded in
 letter by letter through the letter table; letters that sort after the
@@ -170,7 +172,7 @@ def _inverse_rules(rules, generators):
         inv_j = generators[gj].invertible
         li = (gi, -1)
         lj = (gj, -1)
-        lam_inv = _unit(lam.inv())
+        lam_inv = _unit(lam.inv()) if inv_i or inv_j else None
         if inv_i:
             out[(gj, 1, gi, -1)] = (
                 lam_inv,
@@ -192,7 +194,7 @@ def _inverse_rules(rules, generators):
 class Presentation:
     """An ordered, finitely presented Z2-graded algebra over Q(q)."""
 
-    def __init__(self, name, generators, rules, *, _validated=False):
+    def __init__(self, name, generators, rules):
         self.name = name
         self.generators = tuple(generators)
         self.index = {g.name: i for i, g in enumerate(self.generators)}
@@ -203,11 +205,9 @@ class Presentation:
             key: (_unit(lam), tuple((_unit(mu), word) for mu, word in corr))
             for key, (lam, corr) in rules.items()
         }
-        # _validated rule sets are complete copies; authored ones gain the
-        # inverse-letter rules they imply
-        if not _validated:
-            self._validate()
-            self._rules.update(_inverse_rules(self._rules, self.generators))
+        # authored plain-letter rules gain the inverse-letter rules they imply
+        self._validate()
+        self._rules.update(_inverse_rules(self._rules, self.generators))
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
         # (normal-form monomial, letter) -> normal form of their product at

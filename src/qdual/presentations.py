@@ -5,24 +5,21 @@ entries alpha, delta; invertible even off-diagonal entries b, c), the entry
 algebra of an ordinary quantum supermatrix (even a, d; odd beta, gamma), the
 quantum superplane (x even, xi odd) and its dual (eta odd, y even).
 
-Each built-in is written in the descriptor format that
-:func:`load_presentation` reads, so it is the same object as a load of the
-same text under the same name.
-
 Constructions: super tensor products (disjoint copies that commute up to the
 Koszul sign), renamed copies for second tensor factors, and a small text
-format for loading custom presentations.  Every presentation carries the
-exchange rules for its inverse letters from the moment it is built.
+format for loading custom presentations, in which each built-in is written.
+A tensor product authors its factors' rules and one Koszul-sign rule per
+cross pair, a renamed copy its original's rules: every route passes only
+plain-letter rules to :class:`~qdual.algebra.Presentation`, which validates
+them and derives the exchange rules for inverse letters.
 
-The built-ins, tensor products and renamed copies are memoised, so the same
-inputs always give the same :class:`~qdual.algebra.Presentation`: elements
-built through separate calls can be mixed, and each presentation's
-multiplication table is filled once per process.  The caches key on
-presentation identity and keep every presentation passed to them alive.
-Two threads making the first call at the same moment may each build an
-object; every later call returns the cached one.  Descriptor files are
-interned by structure: every load of the same name, generators and rules
-returns one presentation.
+Every route ends at one structural intern keyed on the name, generators
+and authored rules sorted by key, so one structure is one object however
+it was built: elements from separate calls mix, and each multiplication
+table is filled once per process.  The built-ins, ``tensor`` and
+``rename`` keep identity caches in front of it, which keep every
+presentation passed to them alive; two threads making the first call at
+the same moment may each build an object.
 """
 
 from __future__ import annotations
@@ -119,7 +116,7 @@ def rename(pres, suffix, /):
         GeneratorSpec(g.name + suffix, g.parity, g.invertible)
         for g in pres.generators
     )
-    return Presentation(pres.name + suffix, gens, dict(pres._rules), _validated=True)
+    return _descriptor(pres.name + suffix, gens, tuple(sorted(_authored(pres))))
 
 
 def tensor(a, b, name=None):
@@ -141,22 +138,23 @@ def _tensor(a, b, name):
         raise PresentationError(
             f"tensor factors share generator names: {sorted(clash)}"
         )
-    gens = a.generators + b.generators
     off = len(a.generators)
-    rules = dict(a._rules)
-    for (gj, sj, gi, si), rule in b._rules.items():
-        lam, corr = rule
+    rules = _authored(a)
+    for (gj, _, gi, _), (lam, corr) in _authored(b):
         shifted = tuple(
             (mu, tuple((g + off, s) for g, s in word)) for mu, word in corr
         )
-        rules[(gj + off, sj, gi + off, si)] = (lam, shifted)
-    for bi, bg in enumerate(b.generators):
+        rules.append(((gj + off, 1, gi + off, 1), (lam, shifted)))
+    for bi, bg in enumerate(b.generators, off):
         for ai, ag in enumerate(a.generators):
             eps = _MINUS_ONE if (bg.parity and ag.parity) else ONE
-            for sb in ((1, -1) if bg.invertible else (1,)):
-                for sa in ((1, -1) if ag.invertible else (1,)):
-                    rules[(bi + off, sb, ai, sa)] = (eps, ())
-    return Presentation(name, gens, rules, _validated=True)
+            rules.append(((bi, 1, ai, 1), (eps, ())))
+    return _descriptor(name, a.generators + b.generators, tuple(sorted(rules)))
+
+
+def _authored(pres):
+    # the plain-letter rules pres was built from, without the derived ones
+    return [(key, rule) for key, rule in pres._rules.items() if key[1] == key[3] == 1]
 
 
 def derive_inverse_rules(pres, /):
@@ -255,12 +253,13 @@ def load_presentation(text, name="custom"):
         if (gj, 1, gi, 1) in rules:
             raise PresentationError(f"line {lineno}: duplicate rule for {lhs!r}")
         rules[(gj, 1, gi, 1)] = (lam, corr)
-    return _descriptor(name, tuple(gens), tuple(rules.items()))
+    return _descriptor(name, tuple(gens), tuple(sorted(rules.items())))
 
 
 @lru_cache(maxsize=None)
 def _descriptor(name, gens, rules):
-    # one presentation per (name, generators, rules), however often loaded
+    # the one structural intern: one presentation per (name, generators,
+    # authored rules sorted by key), whether loaded, renamed or a tensor
     return Presentation(name, gens, dict(rules))
 
 

@@ -32,17 +32,19 @@ It serves three jobs:
 * an exact quotient, where long division would take 64 steps or more, is
   one integer divmod, whose quotient counts only when the remainder is 0
   and its slots bound every coefficient of quotient * divisor below 2^63;
-* a gcd of two integer polynomials with at least 64 term pairs and
-  coefficients below 2^62 is first tried by the heuristic GCDHEU (Char,
-  Geddes and Gonnet, 1989): the integer gcd of the packed primitive parts,
-  read back and accepted only when the quotient kernel divides both by it,
-  which proves it is the gcd.
+* a gcd of two polynomials with at least 64 term pairs is first tried by
+  the heuristic GCDHEU (Char, Geddes and Gonnet, 1989): the integer gcd of
+  the packed primitive parts, read back and accepted only when the
+  quotient kernel divides both by it, which proves it is the gcd.
+  ``Fraction`` operands are first scaled by the lcm of their coefficient
+  denominators, which changes a gcd only by a constant factor.
 
 Each falls back, to the term-by-term loop, long division or Euclid over Q,
-for ``Fraction`` coefficients, for a coefficient that could reach 2^63, and
-for operands so sparse that the slots would mostly be empty.  Long
-division runs on a dense coefficient list, and evaluation uses Horner's
-rule on integers scaled by a power of the point's denominator.
+for ``Fraction`` coefficients (products and quotients), for a coefficient
+that could reach 2^63 (2^62 for the gcd), and for operands so sparse that
+the slots would mostly be empty.  Long division runs on a dense
+coefficient list, and evaluation uses Horner's rule on integers scaled by
+a power of the point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -63,7 +65,7 @@ import struct
 import sys
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd
+from math import gcd, lcm
 
 
 class PoleError(ArithmeticError):
@@ -169,7 +171,7 @@ def _kstride(ks):
         return 0
     k0 = ks[0]
     s = ks[1] - k0
-    if ks == tuple(range(k0, k0 + s * len(ks), s)):
+    if ks == list(range(k0, k0 + s * len(ks), s)):
         return s
     return gcd(*[k - k0 for k in ks])
 
@@ -208,8 +210,8 @@ def _kmul(a, b):
     # a * b by Kronecker substitution, or None where it does not apply: a
     # Fraction coefficient, a coefficient of the product that could reach
     # 2^63, or operands so sparse that the integers would mostly hold zeros
-    ka, ca = zip(*a)
-    kb, cb = zip(*b)
+    ka, ca = [k for k, _ in a], [c for _, c in a]
+    kb, cb = [k for k, _ in b], [c for _, c in b]
     g = gcd(_kstride(ka), _kstride(kb))
     n = (ka[-1] - ka[0] + kb[-1] - kb[0]) // g + 1
     if n > 4 * (len(a) + len(b)):
@@ -230,8 +232,8 @@ def _kdiv(a, b):
     # quotient fits n signed slots, with max|quo| * max|b| * min(len) below
     # 2^63, proves quo * b = a term by term: every coefficient of quo * b
     # then fits a slot, and a balanced base-2^64 expansion is unique
-    ka, ca = zip(*a)
-    kb, cb = zip(*b)
+    ka, ca = [k for k, _ in a], [c for _, c in a]
+    kb, cb = [k for k, _ in b], [c for _, c in b]
     if ka[0] < kb[0]:
         return None
     g = gcd(_kstride(ka), _kstride(kb))
@@ -248,7 +250,7 @@ def _kdiv(a, b):
     quo = _kunpack(quo, n, ka[0] - kb[0], g)
     if quo is None:
         return None
-    _, cq = zip(*quo)
+    cq = [c for _, c in quo]
     if _kbound(cq) * _kbound(cb) * min(len(cq), len(cb)) >= 1 << 63:
         return None
     return quo
@@ -262,8 +264,8 @@ def _hgcd(a, b):
     # primitive, give a candidate h; the gcd is positive, so the leading
     # slot of h is too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd
     # when it divides both (the CGG theorem), and _kdiv checks exactly that
-    ka, ca = zip(*a)
-    kb, cb = zip(*b)
+    ka, ca = [k for k, _ in a], [c for _, c in a]
+    kb, cb = [k for k, _ in b], [c for _, c in b]
     try:
         ga, gb = gcd(*ca), gcd(*cb)
     except TypeError:
@@ -279,8 +281,7 @@ def _hgcd(a, b):
                  min(ka[-1], kb[-1]) // g + 1, 0, g)
     if h is None:
         return None
-    _, ch = zip(*h)
-    content = gcd(*ch)
+    content = gcd(*[c for _, c in h])
     h = tuple((k, c // content) for k, c in h)
     if _kdiv(tuple(zip(ka, ca)), h) is None or _kdiv(tuple(zip(kb, cb)), h) is None:
         return None
@@ -343,20 +344,27 @@ def _pmonic(a):
     return _pdivc(a, a[-1][1])
 
 
+def _pclear(a):
+    # a times the lcm of its coefficient denominators: integer coefficients
+    m = lcm(*[c.denominator for _, c in a])
+    return a if m == 1 else tuple((k, c.numerator * (m // c.denominator)) for k, c in a)
+
+
 def _pgcd(a, b):
     # a gcd of two nonzero polynomials, up to a constant factor: primitive
     # with a positive leading coefficient from GCDHEU at 64 term pairs or
-    # more, else monic from Euclid over Q, which is cheaper on short
-    # operands.  The power of q they share is found without division,
-    # and it is the whole gcd when either is a Laurent monomial c*q^k, which
-    # is remarkably often the case (most coefficients in the rewriting
-    # engine are monomials in q)
+    # more (Fraction operands cleared of denominators first, which changes
+    # the gcd only by a constant), else monic from Euclid over Q, which is
+    # cheaper on short operands.  The power of q they share is found
+    # without division, and it is the whole gcd when either is a Laurent
+    # monomial c*q^k, which is remarkably often the case (most coefficients
+    # in the rewriting engine are monomials in q)
     m = min(a[0][0], b[0][0])
     if len(a) == 1 or len(b) == 1:
         return ((m, 1),)
     a = _pshift(a, -a[0][0])
     b = _pshift(b, -b[0][0])
-    g = _hgcd(a, b) if len(a) * len(b) >= 64 else None
+    g = _hgcd(_pclear(a), _pclear(b)) if len(a) * len(b) >= 64 else None
     if g is None:
         while b:
             a, b = b, _pdivmod(a, b)[1]

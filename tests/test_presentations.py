@@ -1,9 +1,17 @@
 """Builtin presentations and the text descriptor format."""
 
+import re
+
 import pytest
 
 from qdual import cli
-from qdual.algebra import EVEN, ODD, PresentationError, render_element
+from qdual.algebra import (
+    EVEN,
+    ODD,
+    Presentation,
+    PresentationError,
+    render_element,
+)
 from qdual.parsing import parse_element
 from qdual.presentations import (
     derive_inverse_rules,
@@ -60,8 +68,76 @@ rule c*b = b*c - (q - q^-1)*delta*alpha
 """
 
 
+# dual (x) plane spelled out: the factors' rules, then x and xi commuting
+# with the dual letters up to the Koszul sign
+DUALXPLANE_TEXT = DUAL_TEXT + """
+generator x even
+generator xi odd
+rule xi*x = q^-1*x*xi
+rule x*alpha = alpha*x
+rule x*delta = delta*x
+rule x*b = b*x
+rule x*c = c*x
+rule xi*alpha = -alpha*xi
+rule xi*delta = -delta*xi
+rule xi*b = b*xi
+rule xi*c = c*xi
+"""
+
+
 def test_builtins_are_descriptor_loads():
     assert load_presentation(DUAL_TEXT, name="dual") is dual_algebra()
+
+
+def test_tensor_and_rename_are_descriptor_loads():
+    # every build route ends at one structural intern
+    dxp = load_presentation(DUALXPLANE_TEXT, name="dualxplane")
+    assert tensor(dual_algebra(), superplane()) is dxp
+    dual2 = re.sub(r"\b(alpha|delta|b|c)\b", r"\g<1>2", DUAL_TEXT)
+    assert "rule c2*b2 = b2*c2 - (q - q^-1)*delta2*alpha2" in dual2
+    assert rename(dual_algebra(), "2") is load_presentation(dual2, name="dual2")
+
+
+def test_rule_order_does_not_split_the_intern():
+    lines = DUALXPLANE_TEXT.strip().splitlines()
+    shuffled = [ln for ln in lines if ln.startswith("generator")]
+    shuffled += reversed([ln for ln in lines if ln.startswith("rule")])
+    again = load_presentation("\n".join(shuffled), name="dualxplane")
+    assert again is load_presentation(DUALXPLANE_TEXT, name="dualxplane")
+    assert again is tensor(dual_algebra(), superplane())
+
+
+def test_tensor_and_rename_results_are_validated(monkeypatch):
+    seen = []
+    validate = Presentation._validate
+
+    def counted(self):
+        seen.append(self.name)
+        validate(self)
+
+    monkeypatch.setattr(Presentation, "_validate", counted)
+    tensor(superplane(), dual_superplane(), name="validated")
+    rename(dual_superplane(), "_validated")
+    assert seen == ["validated", "dualplane_validated"]
+
+
+def test_inverse_letter_cross_rules_are_the_koszul_sign():
+    # the cross rules are authored for plain letters only; the ones for
+    # inverse letters are derived, and each is the plain rule's sign again
+    d = dual_algebra()
+    off = len(d.generators)
+    signs = set()
+    for pres in (tensor(d, superplane()),
+                 tensor(d, rename(d, "2"), name="dualxdual")):
+        gens = pres.generators
+        for j in range(off, len(gens)):
+            for i in range(off):
+                eps = -ONE if gens[j].parity == gens[i].parity == ODD else ONE
+                for sj in (1, -1) if gens[j].invertible else (1,):
+                    for si in (1, -1) if gens[i].invertible else (1,):
+                        assert pres._rules[(j, sj, i, si)] == (eps, ())
+                        signs.add((sj, si))
+    assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 def test_unit_coefficients_are_the_one_singleton():
@@ -217,9 +293,8 @@ def test_descriptor_rejections(text, fragment):
 
 
 def test_builtin_corrections_keep_the_odd_letters_of_their_pair():
-    # the implied inverse-letter rules and the tensor and rename copies skip
-    # validation; they must still obey the rule that makes a repeated odd
-    # letter zero
+    # the implied inverse-letter rules skip validation; they must still
+    # obey the rule that makes a repeated odd letter zero
     d = dual_algebra()
     for pres in (d, gl_algebra(), superplane(),
                  dual_superplane(), tensor(gl_algebra(), superplane()),

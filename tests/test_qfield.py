@@ -681,6 +681,33 @@ def test_heuristic_gcd_falls_back_to_euclid(monkeypatch):
     assert qfield._hgcd(a, b) is None
 
 
+def test_fraction_operands_take_the_heuristic_gcd(monkeypatch):
+    # a gcd is only defined up to a constant, so long Fraction operands are
+    # scaled to integer ones and reach GCDHEU; the result agrees with Euclid
+    rng = random.Random(70010)
+    digits = [c for c in range(-9, 10) if c]
+
+    def poly(degree):
+        return _canon({i: Fraction(rng.choice(digits), rng.choice((1, 2, 3, 7)))
+                       for i in range(degree + 1)})
+
+    cases = []
+    for _ in range(20):
+        common = poly(rng.randint(1, 6))
+        cases.append((_pmul(common, poly(rng.randint(8, 16))),
+                      _pmul(common, poly(rng.randint(8, 16)))))
+    cases += [(poly(20), poly(24)) for _ in range(5)]
+    assert all(any(type(c) is Fraction for _, c in a) for a, _ in cases)
+    calls = _counting(monkeypatch, "_hgcd")
+    got = [_pgcd(a, b) for a, b in cases]
+    made = [_structure(QRational._make(a, b)) for a, b in cases]
+    assert len(calls["_hgcd"]) == 2 * len(cases)
+    assert all(type(c) is int for args in calls["_hgcd"] for p in args for _, c in p)
+    monkeypatch.setattr(qfield, "_hgcd", lambda a, b: None)
+    assert [_pmonic(g) for g in got] == [_pgcd(a, b) for a, b in cases]
+    assert made == [_structure(QRational._make(a, b)) for a, b in cases]
+
+
 def test_coprime_degree_80_quotient_takes_no_long_division(monkeypatch):
     rng = random.Random(70009)
     digits = [c for c in range(-9, 10) if c]

@@ -15,133 +15,63 @@ provides:
   inverses, superdeterminants, and closed-form powers;
 * :mod:`qdual.checks` — the named verification suite;
 * :mod:`qdual.cli` — the ``qdual`` command-line tool.
+
+``import qdual`` imports none of them.  Each name below, and each submodule
+as an attribute (``qdual.checks``), loads its module on first use (PEP 562),
+so a caller that only builds presentations and normal forms loads the
+kernel (``qfield``, ``algebra``, ``parsing``, ``presentations``) and never
+``supermatrix``, ``checks`` or ``dataclasses``.
 """
 
-from .qfield import (
-    ONE,
-    PoleError,
-    Q,
-    QRational,
-    ZERO,
-    q_power,
-    qnum,
-    scalar,
-)
-from .algebra import (
-    AlgebraError,
-    AlgebraMismatchError,
-    Element,
-    EVEN,
-    GeneratorSpec,
-    NonInvertiblePowerError,
-    NotQuasiUnitError,
-    ODD,
-    Presentation,
-    PresentationError,
-    RewriteLimitError,
-    invert_quasi_unit,
-    is_central,
-    render_element,
-)
-from .presentations import (
-    derive_inverse_rules,
-    dual_algebra,
-    dual_superplane,
-    gl_algebra,
-    load_presentation,
-    load_presentation_file,
-    rename,
-    superplane,
-    tensor,
-)
-from .parsing import ParseError, parse_element
-from .supermatrix import (
-    MatrixFormatError,
-    SuperMatrix,
-    check_dual_pattern,
-    check_gl_pattern,
-    closed_form_even,
-    closed_form_odd,
-    decomposition_factors,
-    delta1,
-    delta2,
-    dual_generator_matrix,
-    gl_generator_matrix,
-    identity,
-    inverse_via_decomposition,
-    left_inverse,
-    matmul,
-    power,
-    sdet,
-    transform_plane,
-)
-from .checks import (
-    CHECK_IDS,
-    CheckReport,
-    has_failure,
-    machine_lines,
-    run_suite,
-    text_lines,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError",
-    "AlgebraMismatchError",
-    "CHECK_IDS",
-    "CheckReport",
-    "Element",
-    "EVEN",
-    "GeneratorSpec",
-    "MatrixFormatError",
-    "NonInvertiblePowerError",
-    "NotQuasiUnitError",
-    "ODD",
-    "ONE",
-    "ParseError",
-    "PoleError",
-    "Presentation",
-    "PresentationError",
-    "Q",
-    "QRational",
-    "RewriteLimitError",
-    "SuperMatrix",
-    "ZERO",
-    "check_dual_pattern",
-    "check_gl_pattern",
-    "closed_form_even",
-    "closed_form_odd",
-    "decomposition_factors",
-    "delta1",
-    "delta2",
-    "derive_inverse_rules",
-    "dual_algebra",
-    "dual_generator_matrix",
-    "dual_superplane",
-    "gl_algebra",
-    "gl_generator_matrix",
-    "has_failure",
-    "identity",
-    "invert_quasi_unit",
-    "inverse_via_decomposition",
-    "is_central",
-    "left_inverse",
-    "load_presentation",
-    "load_presentation_file",
-    "machine_lines",
-    "matmul",
-    "parse_element",
-    "power",
-    "q_power",
-    "qnum",
-    "rename",
-    "render_element",
-    "run_suite",
-    "scalar",
-    "sdet",
-    "superplane",
-    "tensor",
-    "text_lines",
-    "transform_plane",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "qfield": (
+        "ONE", "PoleError", "Q", "QRational", "ZERO", "q_power", "qnum",
+        "scalar",
+    ),
+    "algebra": (
+        "AlgebraError", "AlgebraMismatchError", "Element", "EVEN",
+        "GeneratorSpec", "NonInvertiblePowerError", "NotQuasiUnitError",
+        "ODD", "Presentation", "PresentationError", "RewriteLimitError",
+        "invert_quasi_unit", "is_central", "render_element",
+    ),
+    "presentations": (
+        "derive_inverse_rules", "dual_algebra", "dual_superplane",
+        "gl_algebra", "load_presentation", "load_presentation_file",
+        "rename", "superplane", "tensor",
+    ),
+    "parsing": ("ParseError", "parse_element"),
+    "supermatrix": (
+        "MatrixFormatError", "SuperMatrix", "check_dual_pattern",
+        "check_gl_pattern", "closed_form_even", "closed_form_odd",
+        "decomposition_factors", "delta1", "delta2", "dual_generator_matrix",
+        "gl_generator_matrix", "identity", "inverse_via_decomposition",
+        "left_inverse", "matmul", "power", "sdet", "transform_plane",
+    ),
+    "checks": (
+        "CHECK_IDS", "CheckReport", "has_failure", "machine_lines",
+        "run_suite", "text_lines",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # bound here, so later lookups skip this function
+    value = globals()[name] = getattr(
+        _import_module(f".{_OWNER[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

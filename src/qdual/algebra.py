@@ -65,11 +65,9 @@ state: threads may share elements and presentations, and concurrent misses
 in either table only compute identical entries twice.
 """
 
-from __future__ import annotations
-
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .qfield import ONE, QRational, ZERO, _PONE, _coerce, _pstr
 
@@ -109,25 +107,28 @@ class RewriteLimitError(AlgebraError):
     """
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec", "name parity invertible")):
     """One generator: a name, a parity, and whether a formal inverse exists.
 
     Rank is positional: a generator's rank is its index in the presentation's
     generator tuple, and normal order sorts letters by ascending rank.
     """
 
-    name: str
-    parity: int
-    invertible: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in (EVEN, ODD):
-            raise PresentationError(f"bad parity for {self.name!r}")
-        if self.parity == ODD and self.invertible:
-            raise PresentationError(f"odd generator {self.name!r} cannot be invertible")
-        if not self.name.isidentifier():
-            raise PresentationError(f"generator name {self.name!r} is not an identifier")
+    def __new__(cls, name, parity, invertible=False):
+        if parity not in (EVEN, ODD):
+            raise PresentationError(f"bad parity for {name!r}")
+        if parity == ODD and invertible:
+            raise PresentationError(f"odd generator {name!r} cannot be invertible")
+        if not name.isidentifier():
+            raise PresentationError(f"generator name {name!r} is not an identifier")
+        return super().__new__(cls, name, parity, invertible)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
 
 # A letter is (generator index, sign) with sign +1 or -1; a word is a tuple of

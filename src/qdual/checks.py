@@ -35,6 +35,7 @@ from .qfield import Q, q_power
 
 DEFAULT_SEED = 1729
 DEFAULT_MAX_N = 6
+MAX_N_LIMIT = 256  # the sweep grows as about n^2.2; n=200 takes most of a minute
 
 _QINV = q_power(-1)
 _BRACKET = Q - _QINV  # q - q^-1
@@ -466,10 +467,11 @@ def run_suite(max_n=DEFAULT_MAX_N, selection=None, seed=DEFAULT_SEED):
     """Run the registered checks and return reports sorted by check id.
 
     ``selection`` restricts to the given check ids; unknown ids raise
-    ValueError, as does max_n < 1.  Deterministic for fixed (max_n, seed).
+    ValueError, as does a max_n outside 1..MAX_N_LIMIT, before any algebra
+    runs.  Deterministic for fixed (max_n, seed).
     """
-    if not isinstance(max_n, int) or max_n < 1:
-        raise ValueError("max_n must be an integer >= 1")
+    if not isinstance(max_n, int) or not 1 <= max_n <= MAX_N_LIMIT:
+        raise ValueError(f"max_n must be an integer in 1..{MAX_N_LIMIT}")
     if selection is not None:
         unknown = sorted(set(selection) - set(CHECK_IDS))
         if unknown:

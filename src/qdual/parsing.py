@@ -25,8 +25,6 @@ inverts the word ``c*b``, as in the raw backend.  A first pass over the
 shape alone raises every :class:`ParseError` before any algebra runs.
 """
 
-from __future__ import annotations
-
 import operator
 import re
 

@@ -22,8 +22,6 @@ presentation passed to them alive; two threads making the first call at
 the same moment may each build an object.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .algebra import (

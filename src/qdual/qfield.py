@@ -59,8 +59,6 @@ q-integers used by the closed-form matrix powers live here as :func:`qnum`;
 they always reduce to honest polynomials.
 """
 
-from __future__ import annotations
-
 import struct
 import sys
 from fractions import Fraction
@@ -258,23 +256,21 @@ def _kdiv(a, b):
 
 def _hgcd(a, b):
     # GCDHEU (B. Char, K. Geddes, G. Gonnet, J. Symbolic Comput. 7, 1989)
-    # for two integer polynomials with nonzero constant terms and
-    # coefficients below 2^62, or None.  The primitive parts are evaluated
+    # for two polynomials with integer coefficients (_pgcd clears Fraction
+    # ones first) and nonzero constant terms, or None for coefficients of
+    # 2^62 or more or a failed candidate.  The primitive parts are evaluated
     # at q^g = 2^64, and the balanced slots of their integer gcd, made
     # primitive, give a candidate h; the gcd is positive, so the leading
     # slot of h is too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd
     # when it divides both (the CGG theorem), and _kdiv checks exactly that
     ka, ca = [k for k, _ in a], [c for _, c in a]
     kb, cb = [k for k, _ in b], [c for _, c in b]
-    try:
-        ga, gb = gcd(*ca), gcd(*cb)
-    except TypeError:
-        return None
     if max(_kbound(ca), _kbound(cb)) >= 1 << 62:
         return None
     g = gcd(_kstride(ka), _kstride(kb))
     if max(ka[-1], kb[-1]) // g + 1 > 4 * (len(a) + len(b)):
         return None
+    ga, gb = gcd(*ca), gcd(*cb)
     ca = [c // ga for c in ca]
     cb = [c // gb for c in cb]
     h = _kunpack(gcd(_kpack(ka, ca, g), _kpack(kb, cb, g)),

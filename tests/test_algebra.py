@@ -640,6 +640,29 @@ def test_rejects_odd_invertible_generator():
         GeneratorSpec("z", ODD, invertible=True)
 
 
+def test_generator_spec_value_semantics():
+    spec = GeneratorSpec("b", EVEN, invertible=True)
+    assert repr(spec) == "GeneratorSpec(name='b', parity=0, invertible=True)"
+    assert repr(GeneratorSpec(name="xi", parity=ODD)) == (
+        "GeneratorSpec(name='xi', parity=1, invertible=False)")
+    assert spec == GeneratorSpec("b", EVEN, True)
+    assert hash(spec) == hash(GeneratorSpec("b", EVEN, True))
+    assert spec != GeneratorSpec("b", EVEN) and spec != GeneratorSpec("c", EVEN, True)
+    for attr in ("name", "parity", "invertible", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(spec, attr, None)
+    for args, message in (
+        (("z", 2), "bad parity for 'z'"),
+        (("z", ODD, True), "odd generator 'z' cannot be invertible"),
+        (("2z", EVEN), "generator name '2z' is not an identifier"),
+    ):
+        with pytest.raises(PresentationError) as info:
+            GeneratorSpec(*args)
+        assert str(info.value) == message
+    with pytest.raises(PresentationError):
+        spec._replace(parity=ODD)
+
+
 def test_rejects_duplicate_generator_names():
     gens = _gens(("u", EVEN, False), ("u", ODD, False))
     with pytest.raises(PresentationError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qdual import checks
 from qdual.checks import (
     CHECK_IDS,
     CheckReport,
@@ -71,13 +72,20 @@ def test_selection_and_ordering():
     assert len(solo) == 1 and solo[0].status == "pass"
 
 
-def test_run_suite_guards():
+def test_run_suite_guards(monkeypatch):
     with pytest.raises(ValueError):
         run_suite(max_n=0)
     with pytest.raises(ValueError):
         run_suite(max_n=2, selection=["C99"])
     with pytest.raises(ValueError):
         run_suite(max_n=2, selection=[])
+    # max_n is capped before any algebra runs: 256 reaches the checks' shared
+    # context, 257 does not
+    monkeypatch.setattr(checks, "_Context", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        run_suite(max_n=256)
+    with pytest.raises(ValueError, match=r"1\.\.256"):
+        run_suite(max_n=257)
 
 
 def test_seed_changes_fuzz_but_not_verdicts():

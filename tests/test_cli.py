@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qdual import cli
+from qdual import checks, cli
 from qdual.algebra import render_element
 from qdual.checks import CheckReport
 from qdual.parsing import parse_element
@@ -200,6 +200,16 @@ def test_matpow_bad_n(capsys):
     assert code == 2 and "--n must be >= 1" in err
 
 
+def test_matpow_caps_n_before_any_algebra(capsys, monkeypatch):
+    # 512 reaches the algebra, 513 does not
+    monkeypatch.setattr(cli, "_algebra_by_name", lambda name: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["matpow", "--n", "512"])
+    for n in ("513", "100000"):
+        code, _, err = run(capsys, "matpow", "--n", n)
+        assert code == 2 and "--n must be <= 512" in err
+
+
 def test_inverse(capsys):
     code, out, _ = run(capsys, "inverse")
     assert code == 0
@@ -253,9 +263,14 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "C01 fail" in out
 
 
-def test_verify_bad_max_n(capsys):
+def test_verify_bad_max_n(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "--max-n", "0")
     assert code == 2 and "max_n" in err
+    # the cap is checked before any algebra runs
+    monkeypatch.setattr(checks, "_Context", None)
+    for n in ("257", "100000"):
+        code, _, err = run(capsys, "verify", "--max-n", n)
+        assert code == 2 and "max_n must be an integer in 1..256" in err
 
 
 def test_cli_round_trip_small_fuzz(capsys):

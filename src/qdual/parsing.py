@@ -10,25 +10,31 @@ Grammar (whitespace-insensitive)::
 ``q`` is the reserved scalar indeterminate; every other name must be a
 generator of the target presentation.  Division requires a purely scalar
 divisor.  A negative exponent applies to a scalar or to a single product of
-invertible generators.  Parentheses nest at most ``_MAX_DEPTH`` (100) deep,
-so no input can exhaust the interpreter's stack.  :func:`render_element`'s
-default style emits text this grammar accepts, so elements round-trip.
+invertible generators.  Parentheses nest at most 100 deep, so no input can
+exhaust the interpreter's stack; exponents are at most 512 either way, and
+integer literals at most 4300 digits long (CPython's int-string limit).
+:func:`render_element`'s default style emits text this grammar accepts, so
+elements round-trip.
 
-One grammar, two semantic backends.  :func:`parse_raw_terms` expands the
-text into unnormalised (coefficient, word) terms, as descriptor rules need.
-:func:`parse_element` evaluates it on normal-form elements, so a power like
-``(b+c)^12`` costs twelve element products rather than 2^12 raw words.
-Division and negative powers are decided on the shape of the raw expansion
-(does it have letters; is it a single term), which the element backend
-tracks next to each element: ``b/(b*b^-1)`` is rejected and ``(c*b)^-1``
-inverts the word ``c*b``, as in the raw backend.  A first pass over the
-shape alone raises every :class:`ParseError` before any algebra runs.
+Parse once.  One pass computes each production's raw shape (its value if
+the full expansion into words has no letters, its only term if it has one)
+and records the operations that build it as a postfix program.  Division
+and negative powers are decided on the shape: ``b/(b*b^-1)`` is rejected,
+and ``(c*b)^-1`` inverts the word ``c*b``.  The operand's operations become
+one ``scale`` by the divisor's inverse, or one ``term`` of the inverted word,
+and every scalar factor becomes one ``term``.  Every :class:`ParseError`
+comes from this pass, before any algebra runs.  :func:`parse_element` runs
+the program on normal-form elements, so ``(b+c)^12`` costs twelve element
+products rather than 2^12 raw words; :func:`parse_raw_terms` runs it on
+raw (coefficient, word) lists, at most 4096 of them, for descriptor rules.
 """
 
+import math
 import operator
 import re
+from functools import reduce
 
-from .qfield import ONE, Q, ZERO, scalar
+from .qfield import ONE, Q, scalar
 
 __all__ = ["ParseError", "parse_element", "parse_raw_terms"]
 
@@ -42,6 +48,9 @@ class ParseError(ValueError):
 
 
 _MAX_DEPTH = 100
+_MAX_EXPONENT = 512
+_MAX_DIGITS = 4300
+_MAX_RAW_TERMS = 4096
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 _INT_RE = re.compile(r"\d+")
 _PUNCT = "+-*/^()"
@@ -64,6 +73,10 @@ def _tokenize(text):
             m = _INT_RE.match(text, pos)
             if m is None:
                 raise ParseError(f"unexpected character {ch!r}", pos)
+            if m.end() - pos > _MAX_DIGITS:
+                raise ParseError(
+                    f"integer literal longer than {_MAX_DIGITS} digits", pos
+                )
             toks.append(("int", m.group(), pos))
         else:
             toks.append(("name", m.group(), pos))
@@ -73,20 +86,22 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the token list, on a semantic backend.
+    """One pass of recursive descent over the token list.
 
-    The backend builds each production's value (see :class:`_RawTerms`).
-    Division and negative powers are decided on the shape of the raw
-    expansion, which every backend reports alike.
+    Each production appends its operations to ``ops`` and returns its raw
+    shape: (scalar or None, single term or None, the number of terms
+    :func:`parse_raw_terms` builds for it, saturating above
+    ``_MAX_RAW_TERMS``).  A number past ``max_terms`` is refused.
     """
 
-    def __init__(self, toks, resolver, backend):
+    def __init__(self, toks, resolver, max_terms):
         self.toks = toks
         self.i = 0
         self.depth = 0
         self.resolver = resolver
         self.invertible = {idx for idx, inv in resolver.values() if inv}
-        self.b = backend
+        self.max_terms = max_terms
+        self.ops = []
 
     def peek(self):
         return self.toks[self.i]
@@ -96,70 +111,84 @@ class _Parser:
         self.i += 1
         return tok
 
+    def emit(self, op, arg, shape, pos):
+        if shape[2] > self.max_terms:
+            raise ParseError(
+                f"expands to more than {self.max_terms} raw terms", pos)
+        self.ops.append((op, arg))
+        return shape
+
+    def scale(self, shape, s):
+        self.ops.append(("scale", s))
+        return _scaled(shape, s)
+
+    def leaf(self, word, c):
+        self.ops.append(("term", (word, c)))
+        return (None if word else c), (c, word), 1
+
     def parse(self):
-        value = self.expr()
+        self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return value
+        return self.ops
 
     def expr(self):
-        b = self.b
-        if self.peek()[0] == "-":
+        negative = self.peek()[0] == "-"
+        if negative:
             self.take()
-            value = b.scale(self.term(), _MINUS_ONE)
-        else:
-            value = self.term()
+        shape = self.term()
+        if negative:
+            shape = self.scale(shape, _MINUS_ONE)
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _, pos = self.take()
             rhs = self.term()
             if op == "-":
-                rhs = b.scale(rhs, _MINUS_ONE)
-            value = b.add(value, rhs)
-        return value
+                rhs = self.scale(rhs, _MINUS_ONE)
+            shape = self.emit("add", None, _sum(shape, rhs), pos)
+        return shape
 
     def term(self):
-        b = self.b
-        value = self.factor()
+        shape = self.factor()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.take()
+            start = len(self.ops)
             rhs = self.factor()
             if op == "*":
-                value = b.mul(value, rhs)
-            else:
-                s = b.scalar(rhs)
-                if s is None:
-                    raise ParseError("divisor must be a scalar expression", pos)
-                if s.is_zero:
-                    raise ParseError("division by zero", pos)
-                value = b.scale(value, s.inv())
-        return value
+                shape = self.emit("mul", None, _product(shape, rhs), pos)
+                continue
+            s = rhs[0]
+            if s is None:
+                raise ParseError("divisor must be a scalar expression", pos)
+            if s.is_zero:
+                raise ParseError("division by zero", pos)
+            del self.ops[start:]
+            shape = self.scale(shape, s.inv())
+        return shape
 
     def factor(self):
-        base = self.base()
-        if self.peek()[0] != "^":
-            return base
-        _, _, pos = self.take()
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        tok = self.take()
-        if tok[0] != "int":
-            raise ParseError("exponent must be an integer", tok[2])
-        return self._power(base, sign * int(tok[1]), pos)
+        start = len(self.ops)
+        shape = self.base()
+        if self.peek()[0] == "^":
+            shape = self.power(shape, start)
+        if shape[0] is not None:
+            # a scalar is one raw term, however it was written
+            del self.ops[start:]
+            self.leaf((), shape[0])
+            shape = shape[0], shape[1], 1
+        return shape
 
     def base(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return self.b.term(scalar(int(val)), ())
+            return self.leaf((), scalar(int(val)))
         if kind == "name":
             if val == "q":
-                return self.b.term(Q, ())
+                return self.leaf((), Q)
             hit = self.resolver.get(val)
             if hit is None:
                 raise ParseError(f"unknown generator {val!r}", pos)
-            return self.b.term(ONE, ((hit[0], 1),))
+            return self.leaf(((hit[0], 1),), ONE)
         if kind == "(":
             if self.depth == _MAX_DEPTH:
                 raise ParseError(
@@ -176,19 +205,32 @@ class _Parser:
             raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected {val!r}", pos)
 
-    def _power(self, value, k, pos):
-        b = self.b
-        if k >= 0:
-            return b.power(value, k)
-        s = b.scalar(value)
+    def power(self, shape, start):
+        _, _, pos = self.take()
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.take()
+        tok = self.take()
+        if tok[0] != "int":
+            raise ParseError("exponent must be an integer", tok[2])
+        k = int(tok[1])
+        if k > _MAX_EXPONENT:
+            raise ParseError(
+                f"exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}", tok[2])
+        if not negative or k == 0:
+            shape = _power(shape, k)
+            if shape[0] is not None:  # factor() makes it one term
+                return shape
+            return self.emit("power", k, shape, pos)
+        s = shape[0]
         if s is not None:
             if s.is_zero:
                 raise ParseError("cannot invert zero", pos)
-            return b.term(s ** k, ())
-        single = b.single(value)
-        if single is None:
+            s = s ** -k
+            return s, (s, ()), 1
+        if shape[1] is None:
             raise ParseError("cannot invert a sum of monomials", pos)
-        c, w = single
+        c, w = shape[1]
         if c.is_zero:
             raise ParseError("cannot invert zero", pos)
         for g, _ in w:
@@ -196,80 +238,39 @@ class _Parser:
                 raise ParseError(
                     "negative power of a non-invertible generator", pos
                 )
-        inv = ONE if c == ONE else c.inv()
-        step = b.term(inv, tuple((g, -s) for g, s in reversed(w)))
-        return b.power(step, -k)
+        del self.ops[start:]
+        step = self.leaf(tuple((g, -e) for g, e in reversed(w)),
+                         ONE if c == ONE else c.inv())
+        return self.emit("power", k, _power(step, k), pos)
 
 
 _MINUS_ONE = -ONE
 
 
-class _RawTerms:
-    """Values are raw (coefficient, word) lists: expanded, not normalised.
+# The raw shape of each operation, from the shapes of its operands.
 
-    A backend provides ``term(c, word)``, ``add``, ``mul``, ``scale`` (by a
-    scalar), ``power`` (k >= 0) and the two shape queries the parser
-    decides on: ``scalar`` (the value when the raw expansion has no
-    letters, else None) and ``single`` (the raw expansion's only term,
-    else None).
-    """
-
-    def term(self, c, word):
-        return [(c, word)]
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return [(ca * cb, wa + wb) for ca, wa in a for cb, wb in b]
-
-    def scale(self, terms, s):
-        return [(c * s, w) for c, w in terms]
-
-    def power(self, terms, k):
-        out = [(ONE, ())]
-        for _ in range(k):
-            out = self.mul(out, terms)
-        return out
-
-    def scalar(self, terms):
-        if any(w for _, w in terms):
-            return None
-        return sum((c for c, _ in terms), ZERO)
-
-    def single(self, terms):
-        return terms[0] if len(terms) == 1 else None
+def _sum(a, b):
+    return _known(operator.add, a[0], b[0]), None, _count(a[2] + b[2])
 
 
-class _Shape:
-    """Values are raw shapes alone: (scalar or None, single term or None).
+def _product(a, b):
+    return (_known(operator.mul, a[0], b[0]), _known(_join, a[1], b[1]),
+            _count(a[2] * b[2]))
 
-    Nothing is expanded, so a first pass on this backend raises every
-    :class:`ParseError` before any algebra runs.
-    """
 
-    def term(self, c, word):
-        return (None if word else c), (c, word)
+def _scaled(v, c):
+    return _known(operator.mul, v[0], c), _known(_join, v[1], (c, ())), v[2]
 
-    def add(self, a, b):
-        return _known(operator.add, a[0], b[0]), None
 
-    def mul(self, a, b):
-        return _known(operator.mul, a[0], b[0]), _known(_join, a[1], b[1])
+def _power(v, k):
+    if k == 0:
+        return ONE, (ONE, ()), 1
+    return (_known(operator.pow, v[0], k), _known(_repeat, v[1], k),
+            _count(v[2] ** k))
 
-    def scale(self, v, c):
-        return _known(operator.mul, v[0], c), _known(_join, v[1], (c, ()))
 
-    def power(self, v, k):
-        if k == 0:
-            return ONE, (ONE, ())
-        return _known(operator.pow, v[0], k), _known(_repeat, v[1], k)
-
-    def scalar(self, v):
-        return v[0]
-
-    def single(self, v):
-        return v[1]
+def _count(n):
+    return min(n, _MAX_RAW_TERMS + 1)
 
 
 def _known(f, x, y):
@@ -285,42 +286,42 @@ def _repeat(t, k):
     return (t[0] if t[0] is ONE else t[0] ** k), t[1] * k
 
 
-class _Elements(_Shape):
-    """Values are (normal-form element of ``pres``, its raw shape)."""
+def _run(program, term, ops):
+    """Evaluate a postfix program: ``term(word, c)`` makes a value, and
+    ``ops`` maps each other operation to a function of two values (``add``,
+    ``mul``) or of a value and the operation's argument."""
+    stack = []
+    for op, arg in program:
+        if op == "term":
+            stack.append(term(*arg))
+        elif arg is None:
+            rhs = stack.pop()
+            stack[-1] = ops[op](stack[-1], rhs)
+        else:
+            stack[-1] = ops[op](stack[-1], arg)
+    return stack[0]
 
-    def __init__(self, pres):
-        self.pres = pres
 
-    def term(self, c, word):
-        return self.pres.normal_form(word, c), super().term(c, word)
+def _raw_mul(a, b):
+    return [(ca * cb, wa + wb) for ca, wa in a for cb, wb in b]
 
-    def add(self, a, b):
-        return a[0] + b[0], super().add(a[1], b[1])
 
-    def mul(self, a, b):
-        return a[0] * b[0], super().mul(a[1], b[1])
-
-    def scale(self, v, c):
-        return v[0] * c, super().scale(v[1], c)
-
-    def power(self, v, k):
-        return v[0] ** k, super().power(v[1], k)
-
-    def scalar(self, v):
-        return v[1][0]
-
-    def single(self, v):
-        return v[1][1]
+_ELEMENT_OPS = {"add": operator.add, "mul": operator.mul,
+                "scale": operator.mul, "power": operator.pow}
+_RAW_OPS = {"add": operator.add, "mul": _raw_mul,
+            "scale": lambda terms, s: [(c * s, w) for c, w in terms],
+            "power": lambda t, k: reduce(_raw_mul, [t] * k, [(ONE, ())])}
 
 
 def parse_raw_terms(text, resolver):
     """Parse to raw (coefficient, word) pairs without normalizing.
 
     ``resolver`` maps generator names to (index, invertible) pairs.  Used by
-    the presentation-descriptor loader, where rule right-hand sides must stay
-    unreduced.
+    the presentation-descriptor loader, where rule right-hand sides stay
+    unreduced.  Text that expands past 4096 pairs is a :class:`ParseError`.
     """
-    return _Parser(_tokenize(text), resolver, _RawTerms()).parse()
+    program = _Parser(_tokenize(text), resolver, _MAX_RAW_TERMS).parse()
+    return _run(program, lambda word, c: [(c, word)], _RAW_OPS)
 
 
 def parse_element(text, pres):
@@ -328,6 +329,5 @@ def parse_element(text, pres):
     resolver = {
         g.name: (i, g.invertible) for i, g in enumerate(pres.generators)
     }
-    toks = _tokenize(text)
-    _Parser(toks, resolver, _Shape()).parse()
-    return _Parser(toks, resolver, _Elements(pres)).parse()[0]
+    program = _Parser(_tokenize(text), resolver, math.inf).parse()
+    return _run(program, pres.normal_form, _ELEMENT_OPS)

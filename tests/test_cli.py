@@ -86,6 +86,9 @@ def test_nf_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "nf", "--algebra", "nosuch", "b")
     assert code == 2 and "unknown algebra" in err
+    code, _, err = run(capsys, "nf", "b^99999999999999999999")
+    assert err == "error: exponent outside -512..512 (at position 2)\n"
+    assert code == 2
 
 
 def test_nf_non_utf8_descriptor_exits_2(capsys, tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qdual import algebra
+from qdual import algebra, parsing
 from qdual.algebra import render_element
 from qdual.parsing import ParseError, parse_element, parse_raw_terms
 from qdual.presentations import (
@@ -77,8 +77,15 @@ def test_parse_scalar_division():
     ("0^-1", "cannot invert zero", 1),
     ("(alpha + delta)^-1", "cannot invert a sum of monomials", 15),
     ("alpha^-1", "negative power of a non-invertible generator", 5),
+    ("b^513", "exponent outside -512..512", 2),
+    ("b^-99999999999999999999", "exponent outside -512..512", 3),
+    pytest.param("9" * 4301 + "*b", "integer literal longer than 4300 digits",
+                 0, id="long-literal"),
+    pytest.param("b^" + "1" * 4301, "integer literal longer than 4300 digits",
+                 2, id="long-exponent-literal"),
 ])
-def test_parse_errors(text, message, position):
+def test_parse_errors(text, message, position, monkeypatch):
+    monkeypatch.setattr(DUAL, "normal_form", None)  # any algebra would fail
     with pytest.raises(ParseError) as err:
         parse_element(text, DUAL)
     assert message in str(err.value)
@@ -98,6 +105,32 @@ def test_deep_nesting_is_rejected_before_any_algebra(monkeypatch):
     with pytest.raises(ParseError) as err:
         parse_raw_terms("(" * 2000 + "1" + ")" * 2000, {})
     assert err.value.position == 100
+
+
+def test_each_call_parses_once(monkeypatch):
+    passes = []
+    parse = parsing._Parser.parse
+    monkeypatch.setattr(parsing._Parser, "parse",
+                        lambda self: passes.append(1) or parse(self))
+    assert parse_element("(b + c)^3/(q + 1) - (c*b)^-2", DUAL) == (
+        (DUAL.gen("b") + DUAL.gen("c")) ** 3 * (Q + 1).inv()
+        - (DUAL.gen("b", -1) * DUAL.gen("c", -1)) ** 2)
+    assert len(passes) == 1
+    parse_raw_terms("(b + c)^3/(q + 1)", {"b": (0, True), "c": (1, True)})
+    assert len(passes) == 2
+
+
+def test_raw_terms_fold_scalars_and_are_capped(monkeypatch):
+    bc = {"b": (0, True), "c": (1, True)}
+    # a scalar factor is one raw term, not 2^16 of them
+    assert parse_raw_terms("(q + 1)^16*b", bc) == [((Q + 1) ** 16, ((0, 1),))]
+    assert len(parse_raw_terms("(b + c)^12", bc)) == 4096
+    monkeypatch.setattr(parsing, "_run", None)  # nothing may be built
+    for text, position in (("(b + c)^12*b + c", 13), ("(b + c)^30", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_raw_terms(text, bc)
+        assert "expands to more than 4096 raw terms" in str(err.value)
+        assert err.value.position == position
 
 
 def test_parse_error_in_gl_for_undeclared_inverse():
@@ -185,8 +218,12 @@ def test_element_backend_matches_raw_expansion_fuzz():
     ("(b - b)^-1", "cannot invert a sum of monomials", 7),
     ("(0*b)^-1", "cannot invert zero", 5),
     ("(b+c)^12 +", "unexpected end of input", 10),
+    # a scalar factor is one raw term, but the shape counts its summands
+    ("((q + 1)*b)^-1", "cannot invert a sum of monomials", 11),
 ])
-def test_errors_are_decided_on_the_raw_shape(text, message, position):
+def test_errors_are_decided_on_the_raw_shape(text, message, position,
+                                             monkeypatch):
+    monkeypatch.setattr(DUAL, "normal_form", None)  # any algebra would fail
     with pytest.raises(ParseError) as err:
         parse_element(text, DUAL)
     assert message in str(err.value)
@@ -198,3 +235,5 @@ def test_negative_power_inverts_the_raw_word():
     got = parse_element("(c*b)^-1", DUAL)
     assert got == DUAL.gen("b", -1) * DUAL.gen("c", -1)
     assert got * parse_element("c*b", DUAL) == DUAL.one()
+    # a zero exponent is no inverse, whatever its sign
+    assert parse_element("alpha^-0 + (b + c)^-0 + 0^-0", DUAL) == DUAL.scalar(3)

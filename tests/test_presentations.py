@@ -1,10 +1,11 @@
 """Builtin presentations and the text descriptor format."""
 
+import math
 import re
 
 import pytest
 
-from qdual import cli
+from qdual import cli, presentations
 from qdual.algebra import (
     EVEN,
     ODD,
@@ -230,6 +231,24 @@ def test_descriptor_with_correction_term():
     assert render_element(got) == "b*c + (q^2 - 1)/(q)*alpha*delta"
 
 
+def test_descriptor_scalar_power_is_one_raw_term(monkeypatch):
+    # a scalar factor is one raw term: (q+1)^16 is not 2^16 of them
+    sizes = []
+    parse = presentations.parse_raw_terms
+
+    def counted(*args):
+        terms = parse(*args)
+        sizes.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(presentations, "parse_raw_terms", counted)
+    head = "generator b even invertible\ngenerator c even invertible\n"
+    pres = load_presentation(head + "rule c*b = (q+1)^16*b*c\n")
+    assert sizes == [1]
+    binomial = " + ".join(f"{math.comb(16, i)}*q^{i}" for i in range(17))
+    assert pres is load_presentation(head + f"rule c*b = ({binomial})*b*c\n")
+
+
 def test_descriptor_file(tmp_path):
     path = tmp_path / "twist.txt"
     path.write_text(DESCRIPTOR, encoding="utf-8")
@@ -281,6 +300,12 @@ rule u*phi = phi*u
     ("generator u even\ngenerator v even\n"
      "rule v*u = q*u*v\nrule v*u = u*v\n", "duplicate rule"),
     ("generator u even\ngenerator v even\nrule v*u = q*(u*v\n", "line 3"),
+    ("generator u even\ngenerator v even\nrule v*u = u*v + (u+v)^18\n",
+     "line 3: expands to more than 4096 raw terms (at position 11)"),
+    pytest.param(
+        "generator u even\ngenerator v even\nrule v*u = " + "9" * 4301 + "*u*v",
+        "line 3: integer literal longer than 4300 digits (at position 0)",
+        id="long-literal"),
     ("generator u even\ngenerator v even\n", "missing exchange rule"),
     ("generator u even\ngenerator u odd\nrule u*u = q*u*u\n", "duplicate"),
     (ODD_LETTER_DROPPED,

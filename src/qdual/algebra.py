@@ -43,10 +43,15 @@ split off below it is even: ``b^j c^-9 * b`` reuses the entry for
 ``c^-9 * b`` for every j.  When that part holds an odd letter the key is
 the whole monomial, because its odd letters are what make some
 corrections vanish (for the derived rule of ``c^-1 * b^-1`` they stop the
-correction from recreating its own redex).  As in whole-word rewriting, a
-product that repeats an odd letter is zero; validation rejects any
-correction that drops an odd letter of its exchanged pair, which is what
-makes that sound.
+correction from recreating its own redex).
+
+A word that repeats an odd letter is zero, in every presentation that can
+be built.  Validation rejects any correction that drops an odd letter of
+its exchanged pair, and the derived rules keep the authored corrections
+inside them, so every word that rewriting derives from such a word still
+repeats that letter, and the sorted word it ends at holds the letter's
+square, which is zero.  Both engines skip such words without rewriting
+them.
 
 Folding letter by letter gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form`
@@ -54,11 +59,7 @@ assumes it; check C16 compares it with random-order rewriting
 (:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
 confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
-oracle.  Whole-word rewriting carries each pending word's coefficient as a
-chain of rule coefficients and multiplies it out only for a word that
-ends at a nonzero monomial, so the many words that end at zero cost no
-scalar work; the words rewritten, and their order, are the same as with
-multiplying at every step.
+oracle.
 
 Elements are immutable.  The two tables are the only shared mutable
 state: threads may share elements and presentations, and concurrent misses
@@ -67,6 +68,7 @@ in either table only compute identical entries twice.
 
 import random
 import re
+import sys
 from collections import namedtuple
 
 from .qfield import ONE, QRational, ZERO, _PONE, _coerce, _pstr
@@ -266,9 +268,9 @@ class Presentation:
                     )
                 dropped = pair_odd - {g for g, _ in word}
                 if dropped:
-                    # a product repeating an odd letter is taken to be zero
-                    # (the table's shortcut and _reduce's prune); that holds
-                    # only if corrections never remove an odd letter
+                    # a word repeating an odd letter is taken to be zero
+                    # (see the module docstring); that holds only if
+                    # corrections never remove an odd letter
                     raise PresentationError(
                         f"correction in rule "
                         f"({self.generators[gj].name}, {self.generators[gi].name}) "
@@ -362,37 +364,16 @@ class Presentation:
     def brute_force_nf(self, word, seed, coeff=ONE):
         """Like :meth:`normal_form` but applying rules in seeded random order.
 
-        Exists as an independent check that the rewriting system is confluent:
-        on a confluent system every reduction order reaches the same normal
-        form.  Test-suite oracle; not meant for production use.
-
-        The zero-branch shortcut (dropping words that repeat an odd
-        generator) is disabled here when possible, to keep the oracle
-        independent of it.  It stays on for presentations with invertible
-        generators: the inverse-pair exchange corrections regenerate their
-        own redex while inserting an odd pair, so under arbitrary reduction
-        orders the shortcut is what bounds the expansion.  Dropping such
-        words is sound regardless: corrections only ever add odd letters
-        (validation rejects a correction that drops an odd letter of its
-        exchanged pair), and any sorted monomial with a squared odd letter
-        collapses to zero, so every descendant of a repeating word
-        contributes nothing.
-
-        With the shortcut off, most of the words rewritten end at zero.
-        Coefficients are multiplied out only for the words that survive
-        (see :func:`_reduce`), so those words cost rule applications but no
-        scalar products.  The seed alone fixes the reduction: the rules
-        applied and their order do not depend on when coefficients are
-        multiplied.
+        An independent check that the rewriting system is confluent: on a
+        confluent system every reduction order reaches the same normal
+        form.  Test-suite oracle (check C16); the seed fixes the rules
+        applied and their order.
         """
         c = _coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be an int, Fraction or QRational")
         rng = random.Random(seed)
-        prune = any(g.invertible for g in self.generators)
-        return self._element(
-            _reduce(self, [(c, self.letters(word))], rng=rng, prune=prune)
-        )
+        return self._element(_reduce(self, [(c, self.letters(word))], rng=rng))
 
     def parity_of(self, mono):
         return sum(self._parities[g] for g, _ in mono) % 2
@@ -445,50 +426,24 @@ def _step_cap_error(pres, length, pair):
     )
 
 
-def _chain_value(node):
-    # multiply a coefficient chain out from its nearest known value,
-    # memoising every node on the way down
-    path = []
-    while node[0] is None:
-        path.append(node)
-        node = node[1]
-    v = node[0]
-    for n in reversed(path):
-        v = n[0] = v * n[2]
-    return v
-
-
-def _reduce(pres, items, *, rng=None, prune=True):
+def _reduce(pres, items, *, rng=None):
     """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map.
 
     Whole-word rewriting: the engine of :meth:`Presentation.brute_force_nf`
     and the tests' oracle for the multiplication table.  With ``rng`` unset
     the leftmost out-of-order pair is exchanged first; with it, each step
     takes a random pending word (``rng.randrange``) and a random redex in it
-    (``rng.choice``).
-
-    A pending word carries its coefficient as a chain node ``[value or
-    None, parent node, factor]``: the product of its input coefficient and
-    the rule coefficients applied on the way.  The chain is multiplied out,
-    memoising every node on it, only for a sorted word whose monomial is
-    nonzero.  With ``prune`` off, most words repeat an odd letter, are
-    rewritten many times and then dropped, and their products are never
-    formed.  A unit rule coefficient reuses the parent node.  Rule
-    coefficients are nonzero, so only an input coefficient can be zero,
-    and the words visited, their order and the random draws are those of
-    multiplying at every step.
+    (``rng.choice``).  A popped word that repeats an odd letter is dropped.
     """
     acc = {}
-    pending = [([c, None, None], word) for c, word in items]
+    pending = list(items)
     steps = 0
     while pending:
         if rng is None:
-            node, word = pending.pop()
+            coeff, word = pending.pop()
         else:
-            node, word = pending.pop(rng.randrange(len(pending)))
-        if node[1] is None and not node[0]:
-            continue  # a zero input coefficient
-        if prune and _has_repeated_odd(pres, word):
+            coeff, word = pending.pop(rng.randrange(len(pending)))
+        if not coeff or _has_repeated_odd(pres, word):
             continue
         if rng is None:
             t = None
@@ -502,11 +457,10 @@ def _reduce(pres, items, *, rng=None, prune=True):
             ]
             t = rng.choice(redexes) if redexes else None
         if t is None:
+            # no odd letter repeats, so the monomial is nonzero
             m = _collapse(pres, word)
-            if m is not None:
-                coeff = _chain_value(node)
-                c0 = acc.get(m)
-                acc[m] = coeff if c0 is None else c0 + coeff
+            c0 = acc.get(m)
+            acc[m] = coeff if c0 is None else c0 + coeff
             continue
         steps += 1
         if steps > _STEP_CAP:
@@ -516,11 +470,11 @@ def _reduce(pres, items, *, rng=None, prune=True):
         lam, corr = pres._rule(gj, sj, gi, si)
         head, tail = word[:t], word[t + 2 :]
         pending.append((
-            node if lam is ONE else [None, node, lam],
+            coeff if lam is ONE else coeff * lam,
             head + (word[t + 1], word[t]) + tail,
         ))
         for mu, u in corr:
-            pending.append((node if mu is ONE else [None, node, mu], head + u + tail))
+            pending.append((coeff if mu is ONE else coeff * mu, head + u + tail))
     return acc
 
 
@@ -919,31 +873,39 @@ def render_element(x, style="ascii"):
             name, mark = name[:-1], prime
         names.append(((greek and greek(name)) or name) + mark)
     out = []
-    for mono, coeff in x.terms:
-        # the sign is rendered apart from the magnitude, whose leading
-        # numerator coefficient is positive
-        neg = coeff.num[-1][1] < 0
-        mag = -coeff if neg else coeff
-        body = sep.join(
-            names[g] + ("" if e == 1 else power.format(e)) for g, e in mono
-        )
-        if not (body and mag.is_one):
-            if mag.den == _PONE:
-                c = (_latex_poly if latex else _pstr)(mag.num)
-                # a constant sum keeps its parentheses unless it is the
-                # only, positive, term, so that a sign in front of it
-                # applies to all of it and the ascii text reparses
-                alone = not body and len(x.terms) == 1 and not neg
-                if len(mag.num) > 1 and not alone:
-                    c = f"({c})"
-            elif latex:
-                c = rf"\frac{{{_latex_poly(mag.num)}}}{{{_latex_poly(mag.den)}}}"
-            else:
-                c = str(mag)
-            body = f"{c}{sep}{body}" if body else c
-        if out:
-            out.append(" - " if neg else " + ")
-        elif neg:
-            out.append("-")
-        out.append(body)
+    try:
+        for mono, coeff in x.terms:
+            # the sign is rendered apart from the magnitude, whose leading
+            # numerator coefficient is positive
+            neg = coeff.num[-1][1] < 0
+            mag = -coeff if neg else coeff
+            body = sep.join(
+                names[g] + ("" if e == 1 else power.format(e)) for g, e in mono
+            )
+            if not (body and mag.is_one):
+                if mag.den == _PONE:
+                    c = (_latex_poly if latex else _pstr)(mag.num)
+                    # a constant sum keeps its parentheses unless it is the
+                    # only, positive, term, so that a sign in front of it
+                    # applies to all of it and the ascii text reparses
+                    alone = not body and len(x.terms) == 1 and not neg
+                    if len(mag.num) > 1 and not alone:
+                        c = f"({c})"
+                elif latex:
+                    c = rf"\frac{{{_latex_poly(mag.num)}}}{{{_latex_poly(mag.den)}}}"
+                else:
+                    c = str(mag)
+                body = f"{c}{sep}{body}" if body else c
+            if out:
+                out.append(" - " if neg else " + ")
+            elif neg:
+                out.append("-")
+            out.append(body)
+    except ValueError:
+        # CPython refuses to turn an integer past its int-string limit into
+        # text; nothing else in the loop raises ValueError
+        raise AlgebraError(
+            "coefficient too long to print: an integer past CPython's "
+            f"{sys.get_int_max_str_digits()}-digit limit for integer strings"
+        ) from None
     return "".join(out) or "0"

@@ -11,8 +11,10 @@ Grammar (whitespace-insensitive)::
 generator of the target presentation.  Division requires a purely scalar
 divisor.  A negative exponent applies to a scalar or to a single product of
 invertible generators.  Parentheses nest at most 100 deep, so no input can
-exhaust the interpreter's stack; exponents are at most 512 either way, and
-integer literals at most 4300 digits long (CPython's int-string limit).
+exhaust the interpreter's stack; exponents are at most 512 either way,
+integer literals at most 4300 digits long (CPython's int-string limit), and
+the word of a single term at most 65,536 letters long, so that nested powers
+such as ``((b^512)^512)^512`` are refused before the word is built.
 :func:`render_element`'s default style emits text this grammar accepts, so
 elements round-trip.
 
@@ -51,6 +53,7 @@ _MAX_DEPTH = 100
 _MAX_EXPONENT = 512
 _MAX_DIGITS = 4300
 _MAX_RAW_TERMS = 4096
+_MAX_LETTERS = 65536
 _NAME_RE = re.compile(r"[A-Za-z_]\w*")
 _INT_RE = re.compile(r"\d+")
 _PUNCT = "+-*/^()"
@@ -118,6 +121,11 @@ class _Parser:
         self.ops.append((op, arg))
         return shape
 
+    def check_letters(self, letters, pos):
+        # checked before _join or _repeat builds a single term's word
+        if letters > _MAX_LETTERS:
+            raise ParseError(f"a term longer than {_MAX_LETTERS} letters", pos)
+
     def scale(self, shape, s):
         self.ops.append(("scale", s))
         return _scaled(shape, s)
@@ -155,6 +163,8 @@ class _Parser:
             start = len(self.ops)
             rhs = self.factor()
             if op == "*":
+                if shape[1] is not None and rhs[1] is not None:
+                    self.check_letters(len(shape[1][1]) + len(rhs[1][1]), pos)
                 shape = self.emit("mul", None, _product(shape, rhs), pos)
                 continue
             s = rhs[0]
@@ -217,6 +227,8 @@ class _Parser:
         if k > _MAX_EXPONENT:
             raise ParseError(
                 f"exponent outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}", tok[2])
+        if shape[1] is not None:
+            self.check_letters(len(shape[1][1]) * k, pos)
         if not negative or k == 0:
             shape = _power(shape, k)
             if shape[0] is not None:  # factor() makes it one term

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,16 @@ def test_nf_errors_exit_2(capsys):
     code, _, err = run(capsys, "nf", "b^99999999999999999999")
     assert err == "error: exponent outside -512..512 (at position 2)\n"
     assert code == 2
+    # a product of two literals under the digit cap whose coefficient is too
+    # long to print, and nested powers whose word would hold 134M letters
+    nines = "9" * 4000
+    code, out, err = run(capsys, "nf", f"{nines}*{nines}*b")
+    assert code == 2 and out == ""
+    assert err.startswith("error: coefficient too long to print: ")
+    assert "4300-digit limit" in err and err.count("\n") == 1
+    code, out, err = run(capsys, "nf", "((b^512)^512)^512")
+    assert code == 2 and out == ""
+    assert err == "error: a term longer than 65536 letters (at position 8)\n"
 
 
 def test_nf_non_utf8_descriptor_exits_2(capsys, tmp_path):
@@ -310,6 +321,23 @@ def test_verify_machine_output_at_n12_matches_the_recorded_run(capsys):
     )
     assert code == 0 and err == ""
     assert out == golden.read_text(encoding="utf-8")
+
+
+_POOL_RUNS = sorted(
+    (Path(__file__).parents[1] / "perfbench" / "expected").glob(
+        "verify_n*_seed*.txt")
+)
+
+
+@pytest.mark.parametrize("recorded", _POOL_RUNS, ids=lambda p: p.stem)
+def test_verify_machine_output_matches_every_recorded_pool_run(capsys, recorded):
+    # the runs the benchmark compares its answers with, one per pool seed
+    n, seed = re.fullmatch(r"verify_n(\d+)_seed(\d+)", recorded.stem).groups()
+    code, out, err = run(
+        capsys, "verify", "--max-n", n, "--seed", seed, "--format", "machine",
+    )
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == recorded.read_bytes()
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

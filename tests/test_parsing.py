@@ -83,6 +83,7 @@ def test_parse_scalar_division():
                  0, id="long-literal"),
     pytest.param("b^" + "1" * 4301, "integer literal longer than 4300 digits",
                  2, id="long-exponent-literal"),
+    ("((b^512)^512)^16", "a term longer than 65536 letters", 8),
 ])
 def test_parse_errors(text, message, position, monkeypatch):
     monkeypatch.setattr(DUAL, "normal_form", None)  # any algebra would fail
@@ -131,6 +132,30 @@ def test_raw_terms_fold_scalars_and_are_capped(monkeypatch):
             parse_raw_terms(text, bc)
         assert "expands to more than 4096 raw terms" in str(err.value)
         assert err.value.position == position
+
+
+def test_term_letters_are_capped_before_the_word_is_built(monkeypatch):
+    bc = {"b": (0, True), "c": (1, True)}
+    monkeypatch.setattr(parsing, "_MAX_LETTERS", 8)
+    built = []
+    join, repeat = parsing._join, parsing._repeat
+    monkeypatch.setattr(parsing, "_join", lambda s, t: built.append(
+        len(s[1]) + len(t[1])) or join(s, t))
+    monkeypatch.setattr(parsing, "_repeat", lambda t, k: built.append(
+        len(t[1]) * k) or repeat(t, k))
+    # at the cap
+    assert parse_element("(b^2)^2*b^4", DUAL) == DUAL.gen("b", 8)
+    assert len(parse_raw_terms("(b*c)^-4", bc)[0][1]) == 8
+    monkeypatch.setattr(parsing, "_run", None)  # nothing may be built
+    for text, position in (("(b^2)^2*b^5", 7), ("(b*c)^-5", 5),
+                           ("((b^3)^3)^0", 6)):
+        for parse in (lambda t: parse_element(t, DUAL),
+                      lambda t: parse_raw_terms(t, bc)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "a term longer than 8 letters" in str(err.value)
+            assert err.value.position == position
+    assert max(built) == 8
 
 
 def test_parse_error_in_gl_for_undeclared_inverse():

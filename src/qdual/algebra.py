@@ -125,6 +125,9 @@ class GeneratorSpec(namedtuple("GeneratorSpec", "name parity invertible")):
             raise PresentationError(f"odd generator {name!r} cannot be invertible")
         if not name.isidentifier():
             raise PresentationError(f"generator name {name!r} is not an identifier")
+        if name == "q":
+            raise PresentationError(
+                "'q' is the scalar indeterminate, not a valid generator name")
         return super().__new__(cls, name, parity, invertible)
 
     @classmethod

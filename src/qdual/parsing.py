@@ -28,7 +28,8 @@ and every scalar factor becomes one ``term``.  Every :class:`ParseError`
 comes from this pass, before any algebra runs.  :func:`parse_element` runs
 the program on normal-form elements, so ``(b+c)^12`` costs twelve element
 products rather than 2^12 raw words; :func:`parse_raw_terms` runs it on
-raw (coefficient, word) lists, at most 4096 of them, for descriptor rules.
+raw (coefficient, word) lists, at most 4096 of them with at most 65,536
+letters in all, for descriptor rules.
 """
 
 import math
@@ -94,16 +95,19 @@ class _Parser:
     Each production appends its operations to ``ops`` and returns its raw
     shape: (scalar or None, single term or None, the number of terms
     :func:`parse_raw_terms` builds for it, saturating above
-    ``_MAX_RAW_TERMS``).  A number past ``max_terms`` is refused.
+    ``_MAX_RAW_TERMS``, and their total letters, saturating above
+    ``_MAX_LETTERS``).  A number past ``max_terms`` or ``max_letters`` is
+    refused.
     """
 
-    def __init__(self, toks, resolver, max_terms):
+    def __init__(self, toks, resolver, max_terms, max_letters):
         self.toks = toks
         self.i = 0
         self.depth = 0
         self.resolver = resolver
         self.invertible = {idx for idx, inv in resolver.values() if inv}
         self.max_terms = max_terms
+        self.max_letters = max_letters
         self.ops = []
 
     def peek(self):
@@ -118,6 +122,9 @@ class _Parser:
         if shape[2] > self.max_terms:
             raise ParseError(
                 f"expands to more than {self.max_terms} raw terms", pos)
+        if shape[3] > self.max_letters:
+            raise ParseError(
+                f"expands to more than {self.max_letters} letters", pos)
         self.ops.append((op, arg))
         return shape
 
@@ -132,7 +139,7 @@ class _Parser:
 
     def leaf(self, word, c):
         self.ops.append(("term", (word, c)))
-        return (None if word else c), (c, word), 1
+        return (None if word else c), (c, word), 1, len(word)
 
     def parse(self):
         self.expr()
@@ -185,7 +192,7 @@ class _Parser:
             # a scalar is one raw term, however it was written
             del self.ops[start:]
             self.leaf((), shape[0])
-            shape = shape[0], shape[1], 1
+            shape = shape[0], shape[1], 1, 0
         return shape
 
     def base(self):
@@ -239,7 +246,7 @@ class _Parser:
             if s.is_zero:
                 raise ParseError("cannot invert zero", pos)
             s = s ** -k
-            return s, (s, ()), 1
+            return s, (s, ()), 1, 0
         if shape[1] is None:
             raise ParseError("cannot invert a sum of monomials", pos)
         c, w = shape[1]
@@ -262,27 +269,36 @@ _MINUS_ONE = -ONE
 # The raw shape of each operation, from the shapes of its operands.
 
 def _sum(a, b):
-    return _known(operator.add, a[0], b[0]), None, _count(a[2] + b[2])
+    return (_known(operator.add, a[0], b[0]), None, _count(a[2] + b[2]),
+            _letters(a[3] + b[3]))
 
 
 def _product(a, b):
+    # every term of a meets every term of b
     return (_known(operator.mul, a[0], b[0]), _known(_join, a[1], b[1]),
-            _count(a[2] * b[2]))
+            _count(a[2] * b[2]), _letters(a[3] * b[2] + b[3] * a[2]))
 
 
 def _scaled(v, c):
-    return _known(operator.mul, v[0], c), _known(_join, v[1], (c, ())), v[2]
+    return (_known(operator.mul, v[0], c), _known(_join, v[1], (c, ())),
+            v[2], v[3])
 
 
 def _power(v, k):
+    # each of the n^k words of v^k takes k words of v, and each word of v
+    # is in k * n^(k-1) of those places
     if k == 0:
-        return ONE, (ONE, ()), 1
+        return ONE, (ONE, ()), 1, 0
     return (_known(operator.pow, v[0], k), _known(_repeat, v[1], k),
-            _count(v[2] ** k))
+            _count(v[2] ** k), _letters(k * v[2] ** (k - 1) * v[3]))
 
 
 def _count(n):
     return min(n, _MAX_RAW_TERMS + 1)
+
+
+def _letters(n):
+    return min(n, _MAX_LETTERS + 1)
 
 
 def _known(f, x, y):
@@ -330,9 +346,11 @@ def parse_raw_terms(text, resolver):
 
     ``resolver`` maps generator names to (index, invertible) pairs.  Used by
     the presentation-descriptor loader, where rule right-hand sides stay
-    unreduced.  Text that expands past 4096 pairs is a :class:`ParseError`.
+    unreduced.  Text that expands past 4096 pairs or 65,536 letters in all
+    is a :class:`ParseError`.
     """
-    program = _Parser(_tokenize(text), resolver, _MAX_RAW_TERMS).parse()
+    program = _Parser(_tokenize(text), resolver, _MAX_RAW_TERMS,
+                      _MAX_LETTERS).parse()
     return _run(program, lambda word, c: [(c, word)], _RAW_OPS)
 
 
@@ -341,5 +359,5 @@ def parse_element(text, pres):
     resolver = {
         g.name: (i, g.invertible) for i, g in enumerate(pres.generators)
     }
-    program = _Parser(_tokenize(text), resolver, math.inf).parse()
+    program = _Parser(_tokenize(text), resolver, math.inf, math.inf).parse()
     return _run(program, pres.normal_form, _ELEMENT_OPS)

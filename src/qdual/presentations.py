@@ -204,11 +204,6 @@ def load_presentation(text, name="custom"):
                 invertible = True
             elif len(parts) > 3:
                 raise PresentationError(f"line {lineno}: too many fields")
-            if parts[0] == "q":
-                raise PresentationError(
-                    f"line {lineno}: 'q' is the scalar indeterminate, "
-                    "not a valid generator name"
-                )
             parity = ODD if parts[1] == "odd" else EVEN
             try:
                 gens.append(GeneratorSpec(parts[0], parity, invertible))

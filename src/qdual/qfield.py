@@ -15,8 +15,7 @@ a monic denominator is unique:
 * a polynomial product with a one-term factor is a shift and a scale;
 * a product of two polynomials (both denominators 1) is already reduced;
 * a quotient whose denominator divides its numerator is settled by one
-  division, and otherwise Euclid on short operands starts from that
-  division's remainder;
+  division;
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
   ranges do not overlap concatenates them;
@@ -34,17 +33,17 @@ It serves three jobs:
   and its slots bound every coefficient of quotient * divisor below 2^63;
 * a gcd of two polynomials with at least 64 term pairs is first tried by
   the heuristic GCDHEU (Char, Geddes and Gonnet, 1989): the integer gcd of
-  the packed primitive parts, read back and accepted only when the
-  quotient kernel divides both by it, which proves it is the gcd.
-  ``Fraction`` operands are first scaled by the lcm of their coefficient
-  denominators, which changes a gcd only by a constant factor.
+  the packed operands, read back and accepted only when the quotient
+  kernel divides both by it, which proves it is the gcd.
 
-Each falls back, to the term-by-term loop, long division or Euclid over Q,
-for ``Fraction`` coefficients (products and quotients), for a coefficient
-that could reach 2^63 (2^62 for the gcd), and for operands so sparse that
-the slots would mostly be empty.  Long division runs on a dense
-coefficient list, and evaluation uses Horner's rule on integers scaled by
-a power of the point's denominator.
+Each falls back, to the term-by-term loop, long division or the primitive
+remainder sequence, for ``Fraction`` coefficients (products and
+quotients), for a coefficient that could reach 2^63 (2^62 for the gcd),
+and for operands so sparse that the slots would mostly be empty.  A gcd
+takes primitive integer operands on both routes and gives a primitive
+integer result.  Long division runs on a dense coefficient list, and
+evaluation uses Horner's rule on integers scaled by a power of the
+point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -256,13 +255,12 @@ def _kdiv(a, b):
 
 def _hgcd(a, b):
     # GCDHEU (B. Char, K. Geddes, G. Gonnet, J. Symbolic Comput. 7, 1989)
-    # for two polynomials with integer coefficients (_pgcd clears Fraction
-    # ones first) and nonzero constant terms, or None for coefficients of
-    # 2^62 or more or a failed candidate.  The primitive parts are evaluated
-    # at q^g = 2^64, and the balanced slots of their integer gcd, made
-    # primitive, give a candidate h; the gcd is positive, so the leading
-    # slot of h is too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd
-    # when it divides both (the CGG theorem), and _kdiv checks exactly that
+    # for primitive integer a and b with nonzero constant terms, or None for
+    # coefficients of 2^62 or more or a failed candidate.  The balanced
+    # slots of the integer gcd of a and b at q^g = 2^64, made primitive,
+    # give a candidate h; the gcd is positive, so the leading slot of h is
+    # too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd when it divides
+    # both (the CGG theorem), and _kdiv checks exactly that
     ka, ca = [k for k, _ in a], [c for _, c in a]
     kb, cb = [k for k, _ in b], [c for _, c in b]
     if max(_kbound(ca), _kbound(cb)) >= 1 << 62:
@@ -270,16 +268,13 @@ def _hgcd(a, b):
     g = gcd(_kstride(ka), _kstride(kb))
     if max(ka[-1], kb[-1]) // g + 1 > 4 * (len(a) + len(b)):
         return None
-    ga, gb = gcd(*ca), gcd(*cb)
-    ca = [c // ga for c in ca]
-    cb = [c // gb for c in cb]
     h = _kunpack(gcd(_kpack(ka, ca, g), _kpack(kb, cb, g)),
                  min(ka[-1], kb[-1]) // g + 1, 0, g)
     if h is None:
         return None
     content = gcd(*[c for _, c in h])
     h = tuple((k, c // content) for k, c in h)
-    if _kdiv(tuple(zip(ka, ca)), h) is None or _kdiv(tuple(zip(kb, cb)), h) is None:
+    if _kdiv(a, h) is None or _kdiv(b, h) is None:
         return None
     return h
 
@@ -334,37 +329,45 @@ def _pdivmod(a, b):
     return tuple(reversed(q)), rem
 
 
-def _pmonic(a):
-    if not a or a[-1][1] == 1:
+def _pprim(a):
+    # a / (c q^k) for the c and k that leave integer coefficients with no
+    # common factor, a positive leading one and a nonzero constant term
+    k0 = a[0][0]
+    cs = [c for _, c in a]
+    m = lcm(*[c.denominator for c in cs])
+    if m != 1:
+        cs = [c.numerator * (m // c.denominator) for c in cs]
+    content = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+    if content == m == 1 and not k0:
         return a
-    return _pdivc(a, a[-1][1])
-
-
-def _pclear(a):
-    # a times the lcm of its coefficient denominators: integer coefficients
-    m = lcm(*[c.denominator for _, c in a])
-    return a if m == 1 else tuple((k, c.numerator * (m // c.denominator)) for k, c in a)
+    return tuple((k - k0, c // content) for (k, _), c in zip(a, cs))
 
 
 def _pgcd(a, b):
-    # a gcd of two nonzero polynomials, up to a constant factor: primitive
-    # with a positive leading coefficient from GCDHEU at 64 term pairs or
-    # more (Fraction operands cleared of denominators first, which changes
-    # the gcd only by a constant), else monic from Euclid over Q, which is
-    # cheaper on short operands.  The power of q they share is found
-    # without division, and it is the whole gcd when either is a Laurent
-    # monomial c*q^k, which is remarkably often the case (most coefficients
-    # in the rewriting engine are monomials in q)
+    # the gcd of two nonzero polynomials, a primitive integer polynomial.
+    # The power of q they share is found without division, and it is the
+    # whole gcd when either is a Laurent monomial c*q^k, which is remarkably
+    # often the case (most coefficients in the rewriting engine are
+    # monomials in q).  Otherwise the gcd of the primitive parts is
+    # GCDHEU's at 64 term pairs or more, else the last nonzero remainder of
+    # the primitive remainder sequence (G. Collins, J. ACM 14, 1967), where
+    # a times lc(b)^(deg a - deg b + 1) keeps long division integral; it
+    # stops early at a constant, which is primitive only as 1
     m = min(a[0][0], b[0][0])
     if len(a) == 1 or len(b) == 1:
         return ((m, 1),)
-    a = _pshift(a, -a[0][0])
-    b = _pshift(b, -b[0][0])
-    g = _hgcd(_pclear(a), _pclear(b)) if len(a) * len(b) >= 64 else None
+    a, b = _pprim(a), _pprim(b)
+    g = _hgcd(a, b) if len(a) * len(b) >= 64 else None
     if g is None:
-        while b:
-            a, b = b, _pdivmod(a, b)[1]
-        g = _pmonic(a)
+        if a[-1][0] < b[-1][0]:
+            a, b = b, a
+        while len(b) > 1:
+            lb = b[-1][1] ** (a[-1][0] - b[-1][0] + 1)
+            if lb != 1:
+                a = tuple((k, c * lb) for k, c in a)
+            r = _pdivmod(a, b)[1]
+            a, b = b, r and _pprim(r)
+        g = b or a
     return _pshift(g, m)
 
 
@@ -419,19 +422,12 @@ class QRational:
             # is one), and then one division settles it: an integer divmod
             # where long division would take 64 steps or more
             if (len(num) - len(den) + 1) * (len(den) - 1) >= 64:
-                quo = _kdiv(num, den)
-                if quo is not None:
-                    return QRational(quo, _PONE)
-                g = _pgcd(num, den)
+                quo, rem = _kdiv(num, den), None
             else:
                 quo, rem = _pdivmod(num, den)
-                if not rem:
-                    return QRational(quo, _PONE)
-                # GCDHEU takes num and den at 64 term pairs or more; Euclid
-                # goes on from the remainder, as gcd(num, den) = gcd(den, rem)
-                g = _pgcd(num, den) if len(num) * len(den) >= 64 else _pgcd(den, rem)
-        else:
-            g = _pgcd(num, den)
+            if quo is not None and not rem:
+                return QRational(quo, _PONE)
+        g = _pgcd(num, den)
         if len(g) > 1:
             num = _kdiv(num, g) or _pdivmod(num, g)[0]
             den = _kdiv(den, g) or _pdivmod(den, g)[0]

@@ -659,12 +659,24 @@ def test_generator_spec_value_semantics():
         (("z", 2), "bad parity for 'z'"),
         (("z", ODD, True), "odd generator 'z' cannot be invertible"),
         (("2z", EVEN), "generator name '2z' is not an identifier"),
+        (("q", EVEN), "'q' is the scalar indeterminate, not a valid generator name"),
     ):
         with pytest.raises(PresentationError) as info:
             GeneratorSpec(*args)
         assert str(info.value) == message
     with pytest.raises(PresentationError):
         spec._replace(parity=ODD)
+
+
+def test_generator_q_is_rejected_on_every_route():
+    # a generator named q would render as the indeterminate, so its text
+    # could not round-trip; the API refuses it as the descriptor loader does
+    with pytest.raises(PresentationError) as info:
+        Presentation("x", [GeneratorSpec("q", EVEN)], {})
+    assert "'q' is the scalar indeterminate" in str(info.value)
+    with pytest.raises(PresentationError) as info:
+        GeneratorSpec("x", EVEN)._replace(name="q")
+    assert "'q' is the scalar indeterminate" in str(info.value)
 
 
 def test_rejects_duplicate_generator_names():

@@ -134,6 +134,25 @@ def test_raw_terms_fold_scalars_and_are_capped(monkeypatch):
         assert err.value.position == position
 
 
+def test_raw_terms_total_letters_are_capped(monkeypatch):
+    bc = {"b": (0, True), "c": (1, True)}
+    # 4096 words of 12 letters, under the cap of 65,536
+    assert sum(len(w) for _, w in parse_raw_terms("(b + c)^12", bc)) == 49152
+    monkeypatch.setattr(parsing, "_MAX_LETTERS", 12)
+    # at the cap: bcbc + bcc + cbc + cc
+    assert sum(len(w) for _, w in parse_raw_terms("(b*c + c)^2", bc)) == 12
+    # an element is normalized as it is built, so its text has no such cap
+    assert parse_element("(b*c + c)^3", DUAL) == (
+        DUAL.gen("b") * DUAL.gen("c") + DUAL.gen("c")) ** 3
+    monkeypatch.setattr(parsing, "_run", None)  # nothing may be built
+    for text, position in (("(b*c + c)^2 + b", 12), ("(b*c + c)^2*b", 11),
+                           ("(b*c + c)^3", 9), ("(b + c)^11", 7)):
+        with pytest.raises(ParseError) as err:
+            parse_raw_terms(text, bc)
+        assert "expands to more than 12 letters" in str(err.value)
+        assert err.value.position == position
+
+
 def test_term_letters_are_capped_before_the_word_is_built(monkeypatch):
     bc = {"b": (0, True), "c": (1, True)}
     monkeypatch.setattr(parsing, "_MAX_LETTERS", 8)

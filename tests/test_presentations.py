@@ -302,6 +302,8 @@ rule u*phi = phi*u
     ("generator u even\ngenerator v even\nrule v*u = q*(u*v\n", "line 3"),
     ("generator u even\ngenerator v even\nrule v*u = u*v + (u+v)^18\n",
      "line 3: expands to more than 4096 raw terms (at position 11)"),
+    ("generator u even\ngenerator v even\nrule v*u = u*v + ((u^512)^64 + v)^11\n",
+     "line 3: expands to more than 65536 letters (at position 22)"),
     pytest.param(
         "generator u even\ngenerator v even\nrule v*u = " + "9" * 4301 + "*u*v",
         "line 3: integer literal longer than 4300 digits (at position 0)",

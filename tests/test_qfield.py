@@ -1,6 +1,7 @@
 """Exact arithmetic in the field of rational functions of q."""
 
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,6 +9,8 @@ from math import gcd, lcm
 import pytest
 
 from qdual import qfield
+from qdual.parsing import parse_element
+from qdual.presentations import dual_algebra
 from qdual.qfield import (
     ONE,
     PoleError,
@@ -19,7 +22,6 @@ from qdual.qfield import (
     _kmul,
     _pdivmod,
     _pgcd,
-    _pmonic,
     _pmul,
     q_power,
     qnum,
@@ -497,6 +499,12 @@ def test_sparse_and_fraction_products_take_the_dict_loop():
     _assert_pmul_matches(halves, halves)
 
 
+def _pmonic(a):
+    # a divided by its leading coefficient, each coefficient in its
+    # canonical type: the associate that a gcd over Q is compared by
+    return _canon({k: Fraction(c) / a[-1][1] for k, c in a})
+
+
 def _gcd_make(num, den):
     # the reduction by a full gcd, as it was before exact quotients were
     # settled by one division
@@ -654,22 +662,29 @@ def test_heuristic_gcd_matches_euclid_and_sympy_fuzz(monkeypatch):
     euclid = [_pgcd(a, b) for a, b in cases]
     for (a, b), g, e in zip(cases, got, euclid):
         assert primitive(g) == primitive(e) == primitive(sympy_gcd(a, b))
-        if len(g) > 1:
-            assert g[-1][1] > 0 and gcd(*[c for _, c in g]) == 1
+        # both routes give the one primitive associate
+        assert g == e and _is_primitive(g)
     # GCDHEU runs at 64 term pairs or more, and settles every such case
     long_cases = sum(len(a) * len(b) >= 64 for a, b in cases)
     assert all(heuristic) and len(heuristic) == long_cases > 70
 
 
-def test_heuristic_gcd_falls_back_to_euclid(monkeypatch):
-    # coefficients of 2^62 or more take Euclid
+def _is_primitive(p):
+    # integer coefficients with no common factor and a positive leading one
+    return (all(type(c) is int for _, c in p) and p[-1][1] > 0
+            and gcd(*[c for _, c in p]) == 1)
+
+
+def test_heuristic_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # coefficients of 2^62 or more take the primitive remainder sequence
     plus = ((0, 1), (1, 1))
     big = ((0, 1 << 62), (1, 1))
     assert qfield._hgcd(big, plus) is None
     assert _pgcd(_pmul(big, plus), plus) == plus
+    # a gcd is defined up to a constant factor
     halves = ((0, Fraction(1, 2)), (1, 1))
-    assert _pgcd(halves, ((0, 1), (1, 2))) == ((0, Fraction(1, 2)), (1, 1))
-    # short operands take Euclid, which is cheaper there
+    assert _pmonic(_pgcd(halves, ((0, 1), (1, 2)))) == _pmonic(halves)
+    # short operands take the remainder sequence, which is cheaper there
     a, b = _pmul(plus, ((0, 2), (1, 3))), _pmul(plus, ((0, -1), (2, 5)))
     calls = _counting(monkeypatch, "_hgcd")
     assert _pgcd(a, b) == plus and calls["_hgcd"] == []
@@ -682,7 +697,8 @@ def test_heuristic_gcd_falls_back_to_euclid(monkeypatch):
 
 def test_fraction_operands_take_the_heuristic_gcd(monkeypatch):
     # a gcd is only defined up to a constant, so long Fraction operands are
-    # scaled to integer ones and reach GCDHEU; the result agrees with Euclid
+    # scaled to integer ones and reach GCDHEU; the result agrees with the
+    # remainder sequence up to a constant factor
     rng = random.Random(70010)
     digits = [c for c in range(-9, 10) if c]
 
@@ -703,8 +719,50 @@ def test_fraction_operands_take_the_heuristic_gcd(monkeypatch):
     assert len(calls["_hgcd"]) == 2 * len(cases)
     assert all(type(c) is int for args in calls["_hgcd"] for p in args for _, c in p)
     monkeypatch.setattr(qfield, "_hgcd", lambda a, b: None)
-    assert [_pmonic(g) for g in got] == [_pgcd(a, b) for a, b in cases]
+    assert [_pmonic(g) for g in got] == [_pmonic(_pgcd(a, b)) for a, b in cases]
     assert made == [_structure(QRational._make(a, b)) for a, b in cases]
+
+
+def test_big_coefficients_take_the_remainder_sequence(monkeypatch):
+    # past GCDHEU's 2^62 bound the gcd stays integral: every remainder is
+    # made primitive, so no Fraction reaches long division
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("q")
+    rng = random.Random(70011)
+
+    def poly(degree, bits):
+        p = _canon({i: rng.randint(-(1 << bits), 1 << bits)
+                    for i in range(degree + 1)})
+        return p if len(p) > 1 else ((0, 1), (degree + 1, 1))
+
+    def monic_sympy_gcd(a, b):
+        pa, pb = (sympy.Poly.from_dict({(k,): c for k, c in p}, x, domain="QQ")
+                  for p in (a, b))
+        g = pa.gcd(pb).monic()
+        return _canon({k: Fraction(int(c.p), int(c.q)) for (k,), c in g.terms()})
+
+    hgcd = qfield._hgcd
+    heuristic = []
+    monkeypatch.setattr(qfield, "_hgcd", lambda a, b: heuristic.append(
+        hgcd(a, b)) or heuristic[-1])
+    calls = _counting(monkeypatch, "_pdivmod")
+    for _ in range(12):
+        common = _pmul(poly(rng.randint(1, 6), 70), ((rng.randint(0, 2), 3),))
+        a = _pmul(common, poly(rng.randint(8, 14), rng.choice((4, 66))))
+        b = _pmul(common, poly(rng.randint(8, 14), rng.choice((4, 66))))
+        g = _pgcd(a, b)
+        assert _is_primitive(g) and _pmonic(g) == monic_sympy_gcd(a, b)
+    assert len(heuristic) == 12 and not any(heuristic)
+    assert all(type(c) is int for args in calls["_pdivmod"] for p in args
+               for _, c in p)
+    monkeypatch.undo()
+    # a parsed quotient whose coefficients pass 2^62: 61 s through Euclid
+    # over Q, a fraction of a second here
+    dual = dual_algebra()
+    t0 = time.perf_counter()
+    f = parse_element("(q^3+2*q+1)^30*b/(q^2+3)^40", dual)
+    assert time.perf_counter() - t0 < 10
+    assert f * (Q * Q + 3) ** 40 == parse_element("(q^3+2*q+1)^30*b", dual)
 
 
 def test_coprime_degree_80_quotient_takes_no_long_division(monkeypatch):
@@ -727,6 +785,21 @@ def test_inexact_quotients_match_the_gcd_reduction():
         common = _random_poly(rng, 4, 3)
         num = _pmul(_random_poly(rng, 6, 4), common)
         den = _pmul(_random_poly(rng, 6, 4), common)
+        if len(num) < 2 or len(den) < 2:
+            continue
+        got = QRational._make(num, den)
+        assert _structure(got) == _structure(_gcd_make(num, den))
+    # coefficients past GCDHEU's 2^62 bound, and Fraction ones, at lengths
+    # that reach GCDHEU and below it
+    big = (1 << 62, -(1 << 64) - 1, 3 ** 45, Fraction(1 << 70, 3),
+           Fraction(-5, 1 << 66), 7, Fraction(1, 2))
+    for _ in range(60):
+        n = rng.choice((3, 6, 12))
+        common = _canon({rng.randint(0, 4): rng.choice(big) for _ in range(3)})
+        num = _pmul(_canon({rng.randint(0, n): rng.choice(big)
+                            for _ in range(n)}), common)
+        den = _pmul(_canon({rng.randint(0, n): rng.choice(big)
+                            for _ in range(n)}), common)
         if len(num) < 2 or len(den) < 2:
             continue
         got = QRational._make(num, den)

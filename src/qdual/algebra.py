@@ -25,13 +25,26 @@ two lazily filled maps, both at unit coefficient: the letter table, from
 table, from two normal-form monomials (m1, m2) to the normal form of m1*m2.
 Every presentation is interned by structure (see
 :mod:`qdual.presentations`), so there is one pair of tables per
-presentation and they live for the whole process.  A word is folded in
-letter by letter through the letter table; letters that sort after the
-monomial or merge with its last exponent join it directly.  A product of
-two elements looks each out-of-order pair of monomials up in the pair
-table; on a miss it folds m2 into m1 letter by letter and stores the rows,
-which each later product scales by its coefficient.  A missing letter
-entry is built from smaller ones: with m = r * g^s and the exchange rule
+presentation and they live for the whole process.
+
+A product of two elements looks each out-of-order pair of monomials up in
+the pair table; on a miss it computes their block product and stores the
+rows, which each later product scales by its coefficient.  A block is a
+power g^e of one generator.  The first block g^e of m2 moves left past
+each last block h^f of m1 whose exchange rule has no correction, since
+then h^f * g^e = lam^|f*e| * g^e * h^f.  At a block whose rule has a
+correction, the one-block pair h^f * g^e, itself a pair-table entry,
+takes the place of both blocks; it is built from h^f * g^±1 one letter
+g^±1 at a time, each term by a block product.  The rest of m2 then
+multiplies every term, block by block again.  So a product recurses as
+deep as its monomials have blocks, never as deep as an exponent, and the
+pair table keeps only the element-level pairs and the one-block pairs
+that were asked for.
+
+A word is folded in letter by letter through the letter table, which
+also gives h^f * g^±1; letters that sort after the monomial or merge with
+its last exponent join it directly.  A missing letter entry is built from
+smaller ones: with m = r * g^s and the exchange rule
 g^s * x = lam * x * g^s + sum mu * u, the entry is
 lam * (r*x)*g^s + sum mu * r*u, each folded through the letter table
 again.  The misses run on an explicit stack, so exponents in the
@@ -43,19 +56,21 @@ split off below it is even: ``b^j c^-9 * b`` reuses the entry for
 ``c^-9 * b`` for every j.  When that part holds an odd letter the key is
 the whole monomial, because its odd letters are what make some
 corrections vanish (for the derived rule of ``c^-1 * b^-1`` they stop the
-correction from recreating its own redex).
+correction from recreating its own redex).  A one-block pair needs no
+such key: the odd letters that end that chain arise inside its own fill.
 
 A word that repeats an odd letter is zero, in every presentation that can
 be built.  Validation rejects any correction that drops an odd letter of
 its exchanged pair, and the derived rules keep the authored corrections
 inside them, so every word that rewriting derives from such a word still
 repeats that letter, and the sorted word it ends at holds the letter's
-square, which is zero.  Both engines skip such words without rewriting
-them.
+square, which is zero.  Rewriting, folding and block products skip such
+words.
 
-Folding letter by letter gives the normal form that whole-word rewriting
-gives only when the presentation is confluent, and :meth:`normal_form`
-assumes it; check C16 compares it with random-order rewriting
+Folding letter by letter, or multiplying block by block, gives the normal
+form that whole-word rewriting gives only when the presentation is
+confluent, and :meth:`normal_form` and products assume it; check C16
+compares it with random-order rewriting
 (:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
 confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
@@ -221,7 +236,7 @@ class Presentation:
         self._mul_table = {}
         # (normal-form monomial, normal-form monomial) -> their product's
         # (monomial, coefficient) rows at unit coefficient; filled lazily by
-        # Element.__mul__
+        # Element.__mul__ and, for one-block pairs, by _block_pair
         self._pair_table = {}
 
     # -- validation -------------------------------------------------------
@@ -569,10 +584,7 @@ class Element:
                 if m is _NEEDS_REWRITE:
                     row = pairs.get((m1, m2))
                     if row is None:
-                        row = tuple(
-                            _run(pres, _fold(pres, {m1: ONE}, _expand(m2))).items()
-                        )
-                        pairs[m1, m2] = row
+                        row = pairs[m1, m2] = tuple(_blocks(pres, m1, m2).items())
                     if not row:
                         continue
                     c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
@@ -649,6 +661,85 @@ def _concat(pres, m1, m2):
     if e == 0:
         return m1[:-1] + m2[1:]
     return m1[:-1] + ((g1, e),) + m2[1:]
+
+
+def _mul_rows(pres, rows, m, left=False):
+    # the sum of k * t*m (k * m*t with left set) over the (t, k) rows, as a
+    # {monomial: coefficient} map
+    if not m:
+        return dict(rows)
+    acc = {}
+    for t, k in rows:
+        m1, m2 = (m, t) if left else (t, m)
+        mo = _concat(pres, m1, m2)
+        if mo is None:
+            continue
+        if mo is _NEEDS_REWRITE:
+            part = _blocks(pres, m1, m2).items()
+        else:
+            part = ((mo, ONE),)
+        for mo, ko in part:
+            kk = k if ko is ONE else ko if k is ONE else k * ko
+            c0 = acc.get(mo)
+            acc[mo] = kk if c0 is None else c0 + kk
+    return {mo: ko for mo, ko in acc.items() if ko}
+
+
+def _blocks(pres, m1, m2):
+    """Block product m1*m2 at unit coefficient, as a {monomial: coefficient}
+    map, for m2 = g^e * r2 and an m1 whose last block comes after g.
+
+    Write m1 = p * s, with s the last blocks h^f of m1 whose rules for
+    h^±1 * g^±1 have no correction: g^e moves left past each of them at
+    lam^|f*e|, since h^f * g^e = lam^|f*e| * g^e * h^f.  Then g^e joins p
+    directly, or p = r * h^f with a correction, and p * g^e * s is the sum
+    of k * (r*t)*s over the row (t, k) of the one-block pair h^f * g^e.
+    r2 multiplies each term last.  Each of these products is again a block
+    product, so the recursion is as deep as the monomials have blocks.
+    """
+    parities = pres._parities
+    odd = {h for h, _ in m1 if parities[h]}
+    if odd and any(g in odd for g, _ in m2):
+        return {}  # a repeated odd letter
+    g, e = m2[0]
+    sign = 1 if e > 0 else -1
+    c = ONE
+    i = len(m1)
+    while i and m1[i - 1][0] > g:
+        h, f = m1[i - 1]
+        lam, corr = pres._rule(h, 1 if f > 0 else -1, g, sign)
+        if corr:
+            row = _block_pair(pres, m1[i - 1:i], m2[:1])
+            rows = _mul_rows(pres, _mul_rows(pres, row, m1[:i - 1], True).items(),
+                             m1[i:])
+            break
+        if lam is not ONE:
+            lam = _unit(lam ** abs(f * e))
+            c = lam if c is ONE else c * lam
+        i -= 1
+    else:
+        # no odd letter repeats, so g^e joins the rest of m1 directly
+        rows = {_concat(pres, m1[:i], m2[:1]) + m1[i:]: ONE}
+    if c is not ONE:
+        rows = {t: c if k is ONE else c * k for t, k in rows.items()}
+    return _mul_rows(pres, rows.items(), m2[1:])
+
+
+def _block_pair(pres, hf, ge):
+    """The rows of h^f * g^e, a pair-table entry.
+
+    The letter engine gives h^f * g^±1; every further letter g^±1 multiplies
+    each term of the row by a block product.
+    """
+    row = pres._pair_table.get((hf, ge))
+    if row is None:
+        g, e = ge[0]
+        x = ((g, 1 if e > 0 else -1),)
+        rows = _run(pres, _fold(pres, {hf: ONE}, x))
+        for _ in range(abs(e) - 1):
+            rows = _mul_rows(pres, rows.items(), x)
+        row = pres._pair_table[hf, ge] = tuple(rows.items())
+    return row
 
 
 # The table is filled by generator "frames" that _run keeps on an explicit

@@ -41,9 +41,11 @@ remainder sequence, for ``Fraction`` coefficients (products and
 quotients), for a coefficient that could reach 2^63 (2^62 for the gcd),
 and for operands so sparse that the slots would mostly be empty.  A gcd
 takes primitive integer operands on both routes and gives a primitive
-integer result.  Long division runs on a dense coefficient list, and
-evaluation uses Horner's rule on integers scaled by a power of the
-point's denominator.
+integer result.  Before a gcd that GCDHEU leaves open falls back, Euclid
+modulo a word-sized prime that divides neither leading coefficient can
+prove the operands coprime, which settles the gcd as 1.  Long division
+runs on a dense coefficient list, and evaluation uses Horner's rule on
+integers scaled by a power of the point's denominator.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -280,7 +282,10 @@ def _hgcd(a, b):
 
 
 def _ppow(a, k):
-    # a^k for k >= 1 by repeated squaring
+    # a^k for k >= 1 by repeated squaring; a one-term a in one step
+    if len(a) == 1:
+        (j, c), = a
+        return ((j * k, c ** k),)
     out = _PONE
     while True:
         if k & 1:
@@ -343,13 +348,56 @@ def _pprim(a):
     return tuple((k - k0, c // content) for (k, _), c in zip(a, cs))
 
 
+# word-sized primes for the coprimality test
+_PRIMES = (2**61 - 1, 2**31 - 1)
+
+
+def _pcoprime(a, b):
+    # True when the integer polynomials a and b are coprime by their images
+    # mod a prime p that divides neither leading coefficient: a common
+    # factor of positive degree keeps that degree mod p, since its leading
+    # coefficient divides both.  False when no prime qualifies or the gcd
+    # mod p is not a constant
+    p = next((p for p in _PRIMES if a[-1][1] % p and b[-1][1] % p), None)
+    if p is None:
+        return False
+    f, g = _pmodp(a, p), _pmodp(b, p)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        # f mod g by long division in place, highest degree first
+        n = len(g)
+        inv = pow(g[0], -1, p)
+        for i in range(len(f) - n + 1):
+            c = f[i] * inv % p
+            if c:
+                f[i:i + n] = [(x - c * y) % p for x, y in zip(f[i:i + n], g)]
+        r = f[len(f) - n + 1:]
+        while r and not r[0]:
+            del r[0]
+        if not r:
+            return False
+        f, g = g, r
+    return True
+
+
+def _pmodp(a, p):
+    # the coefficients of a mod p as a list, highest degree first
+    out = [0] * (a[-1][0] + 1)
+    for k, c in a:
+        out[-1 - k] = c % p
+    return out
+
+
 def _pgcd(a, b):
     # the gcd of two nonzero polynomials, a primitive integer polynomial.
     # The power of q they share is found without division, and it is the
     # whole gcd when either is a Laurent monomial c*q^k, which is remarkably
     # often the case (most coefficients in the rewriting engine are
-    # monomials in q).  Otherwise the gcd of the primitive parts is
-    # GCDHEU's at 64 term pairs or more, else the last nonzero remainder of
+    # monomials in q).  Otherwise the gcd of the primitive parts is, at 64
+    # term pairs or more, GCDHEU's or 1 when their images modulo a prime
+    # are coprime (a test that GCDHEU's 2^62 bound does not limit), else
+    # the last nonzero remainder of
     # the primitive remainder sequence (G. Collins, J. ACM 14, 1967), where
     # a times lc(b)^(deg a - deg b + 1) keeps long division integral; it
     # stops early at a constant, which is primitive only as 1
@@ -357,7 +405,9 @@ def _pgcd(a, b):
     if len(a) == 1 or len(b) == 1:
         return ((m, 1),)
     a, b = _pprim(a), _pprim(b)
-    g = _hgcd(a, b) if len(a) * len(b) >= 64 else None
+    g = None
+    if len(a) * len(b) >= 64:
+        g = _hgcd(a, b) or (_PONE if _pcoprime(a, b) else None)
     if g is None:
         if a[-1][0] < b[-1][0]:
             a, b = b, a

@@ -310,9 +310,14 @@ def test_cold_long_product_fills_a_bounded_table(monkeypatch):
     monkeypatch.setattr(DUAL, "_pair_table", {})
     got = DUAL.gen("c", 40) * DUAL.gen("b", 40)
     assert len(got.terms) == 2
-    # 1482 of the entries are (alpha delta b^j c^i)*b, whose odd letters
-    # keep the whole monomial in the key; the rest are chains like c^i*b
-    assert len(DUAL._mul_table) == 1718
+    # the letter engine fills only c^40 * b: the chains c^i * b (40
+    # entries), c^i * delta (39) and (delta c^i) * alpha (40, with i = 0);
+    # the other 39 letters b multiply one-block rows by block products
+    assert len(DUAL._mul_table) == 119
+    assert set(DUAL._pair_table) == {
+        (((3, 40),), ((2, 1),)), (((3, 39),), ((2, 1),)),
+        (((3, 40),), ((2, 40),)),
+    }
 
 
 def test_entry_that_needs_itself_fails_fast():
@@ -415,9 +420,11 @@ def test_pair_table_rows_can_cancel_to_zero(monkeypatch):
         + DUAL.normal_form([("delta", 1), ("b", 1)])
     )
     assert (x * x).terms == ()
-    rows = [row for row in DUAL._pair_table.values() if row]
-    assert len(rows) == 2
-    assert rows[0][0][0] == rows[1][0][0]
+    # the element-level rows; one-block rows are stored alongside them
+    monos = [m for m, _ in x.terms]
+    rows = [DUAL._pair_table[m1, m2] for m1 in monos for m2 in monos]
+    assert [len(row) for row in rows] == [0, 1, 1, 0]
+    assert rows[1][0][0] == rows[2][0][0]
 
 
 def test_repeated_product_adds_no_table_entry():
@@ -442,6 +449,85 @@ def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
         want = _whole_word_nf(DUAL, m1 + m2)
         assert DUAL._element(dict(row)).terms == want.terms
     assert scaled.terms == (s * (x * y)).terms
+
+
+# -- block products --------------------------------------------------------
+
+def _random_monomial(rng, pres):
+    # exponents up to 6 either way on invertible letters; odd letters, which
+    # lead the order in most of these algebras, in a third of the draws
+    mono = []
+    for g, spec in enumerate(pres.generators):
+        if spec.parity == ODD:
+            if rng.random() < 1 / 3:
+                mono.append((g, 1))
+        elif rng.random() < 2 / 3:
+            e = rng.randint(1, 6)
+            mono.append((g, -e if spec.invertible and rng.random() < 0.5 else e))
+    return tuple(mono)
+
+
+def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
+    rng = random.Random(19001)
+    presentations = [
+        DUAL, GL, cli._algebra_by_name("dualxplane"),
+        cli._algebra_by_name("dualxdual"), load_presentation(TWIST),
+    ]
+    for pres in presentations:
+        monkeypatch.setattr(pres, "_mul_table", {})
+        monkeypatch.setattr(pres, "_pair_table", {})
+        for _ in range(120):
+            m1 = _random_monomial(rng, pres)
+            m2 = _random_monomial(rng, pres)
+            got = pres._element({m1: ONE}) * pres._element({m2: ONE})
+            assert got == _whole_word_nf(pres, m1 + m2), (pres.name, m1, m2)
+        assert pres._pair_table
+
+
+def test_long_block_products_have_two_terms():
+    # b^n c^n and alpha delta b^(n-1) c^(n-1), at either sign of n; checked
+    # against multiplying the last letter b in by itself
+    for n in (512, -300):
+        s = 1 if n > 0 else -1
+        got = DUAL.gen("c", n) * DUAL.gen("b", n)
+        assert len(got.terms) == 2
+        assert got == (DUAL.gen("c", n) * DUAL.gen("b", n - s)) * DUAL.gen("b", s)
+
+
+def test_q_commuting_swap_fills_no_letter_entry(monkeypatch):
+    monkeypatch.setattr(DUAL, "_mul_table", {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
+    x = DUAL.normal_form([("b", 50), ("c", 50)])
+    y = DUAL.normal_form([("alpha", 1), ("delta", 1)])
+    got = x * y
+    # alpha and delta each pass b^50 and c^50 at q per letter
+    assert got == q_power(200) * DUAL.normal_form(
+        [("alpha", 1), ("delta", 1), ("b", 50), ("c", 50)])
+    assert DUAL._mul_table == {}
+
+
+def test_block_product_needs_no_deep_recursion():
+    # exponents far past the recursion limit in both factors of dualxdual;
+    # checked against multiplying y in one letter at a time
+    code = (
+        "import sys\n"
+        "from qdual import cli\n"
+        "p = cli._algebra_by_name('dualxdual')\n"
+        "w1 = [('b', -300), ('c', 300), ('alpha2', 1), ('b2', 300), ('c2', -300)]\n"
+        "w2 = [('b', 300), ('c', -300), ('delta2', 1), ('b2', -300), ('c2', 300)]\n"
+        "x, y = p.normal_form(w1), p.normal_form(w2)\n"
+        "limit = sys.getrecursionlimit()\n"
+        "sys.setrecursionlimit(200)\n"
+        "got = x * y\n"
+        "sys.setrecursionlimit(limit)\n"
+        "want = x\n"
+        "for g, e in w2:\n"
+        "    for _ in range(abs(e)):\n"
+        "        want = want * p.gen(g, 1 if e > 0 else -1)\n"
+        "assert len(got.terms) == 2 and got == want, got\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_cold_suite_at_n20():

@@ -765,6 +765,53 @@ def test_big_coefficients_take_the_remainder_sequence(monkeypatch):
     assert f * (Q * Q + 3) ** 40 == parse_element("(q^3+2*q+1)^30*b", dual)
 
 
+def test_coprimality_modulo_a_prime_keeps_the_canonical_tuples(monkeypatch):
+    # past GCDHEU's 2^62 bound, a coprime pair is settled by its images
+    # modulo a prime and a pair with a common factor falls through to the
+    # remainder sequence; both give the tuples the remainder sequence gives
+    rng = random.Random(70013)
+
+    def poly(degree, bits):
+        p = _canon({i: rng.randint(-(1 << bits), 1 << bits)
+                    for i in range(degree + 1)})
+        return p if len(p) > 1 else ((0, 1), (degree + 1, 1))
+
+    cases = []
+    for _ in range(12):
+        num, den = poly(rng.randint(8, 14), 66), poly(rng.randint(8, 14), 66)
+        common = poly(rng.randint(1, 4), rng.choice((3, 70)))
+        cases += [(num, den, True), (_pmul(num, common), _pmul(den, common), False)]
+    pcoprime = qfield._pcoprime
+    found = []
+    monkeypatch.setattr(qfield, "_pcoprime", lambda a, b: found.append(
+        pcoprime(a, b)) or found[-1])
+    got = [_structure(QRational._make(num, den)) for num, den, _ in cases]
+    assert found == [coprime for _, _, coprime in cases]
+    monkeypatch.setattr(qfield, "_pcoprime", lambda a, b: False)
+    assert got == [_structure(QRational._make(num, den)) for num, den, _ in cases]
+
+
+def test_coprimality_needs_a_prime_off_the_leading_coefficients():
+    p61, p31 = qfield._PRIMES
+    a, b = ((0, 1), (1, p61)), ((0, 1), (2, 1))
+    assert qfield._pcoprime(a, b)  # taken modulo 2^31 - 1
+    # (q + 1)(p61 p31 q^2 + 1) and q + 1 share a factor; no prime qualifies
+    assert not qfield._pcoprime(((0, 1), (2, p61 * p31)), b)
+    assert not qfield._pcoprime(((0, 1), (1, 1), (2, p61 * p31), (3, p61 * p31)),
+                                ((0, 1), (1, 1)))
+
+
+def test_long_coprime_quotient_takes_no_remainder_sequence(monkeypatch):
+    # its coefficients pass 2^62, so GCDHEU gives up; the pair is coprime
+    # modulo 2^61 - 1 (3.5 s through the remainder sequence)
+    dual = dual_algebra()
+    calls = _counting(monkeypatch, "_pdivmod", "_pcoprime")
+    f = parse_element("(q^3+2*q+1)^60*b/(q^2+3)^80", dual)
+    assert calls["_pdivmod"] == [] and len(calls["_pcoprime"]) == 1
+    monkeypatch.undo()
+    assert f * (Q * Q + 3) ** 80 == parse_element("(q^3+2*q+1)^60*b", dual)
+
+
 def test_coprime_degree_80_quotient_takes_no_long_division(monkeypatch):
     rng = random.Random(70009)
     digits = [c for c in range(-9, 10) if c]

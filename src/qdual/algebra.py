@@ -30,16 +30,16 @@ presentation and they live for the whole process.
 A product of two elements looks each out-of-order pair of monomials up in
 the pair table; on a miss it computes their block product and stores the
 rows, which each later product scales by its coefficient.  A block is a
-power g^e of one generator.  The first block g^e of m2 moves left past
-each last block h^f of m1 whose exchange rule has no correction, since
-then h^f * g^e = lam^|f*e| * g^e * h^f.  At a block whose rule has a
-correction, the one-block pair h^f * g^e, itself a pair-table entry,
-takes the place of both blocks; it is built from h^f * g^±1 one letter
-g^±1 at a time, each term by a block product.  The rest of m2 then
-multiplies every term, block by block again.  So a product recurses as
-deep as its monomials have blocks, never as deep as an exponent, and the
-pair table keeps only the element-level pairs and the one-block pairs
-that were asked for.
+power g^e of one generator, and one loop multiplies every row by the
+blocks of m2 in turn.  A block g^e moves left past each last block h^f of
+a row whose exchange rule has no correction, at the swap factor of
+h^f * g^e = lam^|f*e| * g^e * h^f, cached per block pair.  At a block
+whose rule has a correction, the one-block pair h^f * g^e, itself a
+pair-table entry built by the same loop from h^f * g^±1, takes the place
+of both blocks.  So a product recurses only where a correction splits a
+row, as deep as its monomials have blocks, never as deep as an exponent,
+and the pair table keeps only the element-level pairs and the one-block
+pairs that were asked for.
 
 A word is folded in letter by letter through the letter table, which
 also gives h^f * g^±1; letters that sort after the monomial or merge with
@@ -76,9 +76,9 @@ confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
 oracle.
 
-Elements are immutable.  The two tables are the only shared mutable
-state: threads may share elements and presentations, and concurrent misses
-in either table only compute identical entries twice.
+Elements are immutable.  The two tables and two caches are the only shared
+mutable state: threads may share elements and presentations, and concurrent
+misses in any of them only compute identical entries twice.
 """
 
 import random
@@ -238,6 +238,9 @@ class Presentation:
         # (monomial, coefficient) rows at unit coefficient; filled lazily by
         # Element.__mul__ and, for one-block pairs, by _block_pair
         self._pair_table = {}
+        # the swap factors of _blocks and the sort keys of _element
+        self._swaps = {}
+        self._keys = {}
 
     # -- validation -------------------------------------------------------
 
@@ -319,12 +322,17 @@ class Presentation:
         terms = [(m, c) for m, c in acc.items() if c]
         if not terms:
             return self._zero
-        terms.sort(key=lambda t: self._mono_key(t[0]), reverse=True)
+        if len(terms) > 1:
+            terms.sort(key=self._sort_key, reverse=True)
         return Element(self, tuple(terms))
 
-    def _mono_key(self, mono):
-        even = sum(abs(e) for g, e in mono if self._parities[g] == EVEN)
-        return (even, mono)
+    def _sort_key(self, term):
+        # (even degree, monomial), computed once per monomial
+        key = self._keys.get(term[0])
+        if key is None:
+            even = sum(abs(e) for g, e in term[0] if self._parities[g] == EVEN)
+            key = self._keys[term[0]] = (even, term[0])
+        return key
 
     def zero(self):
         return self._zero
@@ -584,7 +592,7 @@ class Element:
                 if m is _NEEDS_REWRITE:
                     row = pairs.get((m1, m2))
                     if row is None:
-                        row = pairs[m1, m2] = tuple(_blocks(pres, m1, m2).items())
+                        row = pairs[m1, m2] = tuple(_blocks(pres, ((m1, ONE),), m2))
                     if not row:
                         continue
                     c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
@@ -663,82 +671,76 @@ def _concat(pres, m1, m2):
     return m1[:-1] + ((g1, e),) + m2[1:]
 
 
-def _mul_rows(pres, rows, m, left=False):
-    # the sum of k * t*m (k * m*t with left set) over the (t, k) rows, as a
-    # {monomial: coefficient} map
-    if not m:
-        return dict(rows)
-    acc = {}
-    for t, k in rows:
-        m1, m2 = (m, t) if left else (t, m)
-        mo = _concat(pres, m1, m2)
-        if mo is None:
-            continue
-        if mo is _NEEDS_REWRITE:
-            part = _blocks(pres, m1, m2).items()
-        else:
-            part = ((mo, ONE),)
-        for mo, ko in part:
-            kk = k if ko is ONE else ko if k is ONE else k * ko
-            c0 = acc.get(mo)
-            acc[mo] = kk if c0 is None else c0 + kk
-    return {mo: ko for mo, ko in acc.items() if ko}
+def _odd_mask(pres, m):
+    return sum(1 << g for g, _ in m if pres._parities[g])
 
 
-def _blocks(pres, m1, m2):
-    """Block product m1*m2 at unit coefficient, as a {monomial: coefficient}
-    map, for m2 = g^e * r2 and an m1 whose last block comes after g.
+def _blocks(pres, rows, blocks):
+    """The (monomial, coefficient) rows times the blocks, in order, as a list
+    of (monomial, coefficient) pairs with distinct monomials and no zeros.
 
-    Write m1 = p * s, with s the last blocks h^f of m1 whose rules for
-    h^±1 * g^±1 have no correction: g^e moves left past each of them at
-    lam^|f*e|, since h^f * g^e = lam^|f*e| * g^e * h^f.  Then g^e joins p
-    directly, or p = r * h^f with a correction, and p * g^e * s is the sum
-    of k * (r*t)*s over the row (t, k) of the one-block pair h^f * g^e.
-    r2 multiplies each term last.  Each of these products is again a block
-    product, so the recursion is as deep as the monomials have blocks.
+    Each block g^e multiplies every current row t on the right.  g^e moves
+    left past each last block h^f of t whose rule for h^±1 * g^±1 has no
+    correction, at the factor lam^|f*e|, and then joins the rest of t
+    directly.  The presentation caches that factor per block pair, or False
+    where the rule has a correction.  At such a block, t = p * h^f * s, and
+    t * g^e is the sum of k * p*u*s over the row (u, k) of the one-block pair
+    h^f * g^e, where p*u*s is p times the blocks of u and then of s, again
+    by this loop; a u that shares an odd letter with p gives zero.
     """
-    parities = pres._parities
-    odd = {h for h, _ in m1 if parities[h]}
-    if odd and any(g in odd for g, _ in m2):
-        return {}  # a repeated odd letter
-    g, e = m2[0]
-    sign = 1 if e > 0 else -1
-    c = ONE
-    i = len(m1)
-    while i and m1[i - 1][0] > g:
-        h, f = m1[i - 1]
-        lam, corr = pres._rule(h, 1 if f > 0 else -1, g, sign)
-        if corr:
-            row = _block_pair(pres, m1[i - 1:i], m2[:1])
-            rows = _mul_rows(pres, _mul_rows(pres, row, m1[:i - 1], True).items(),
-                             m1[i:])
-            break
-        if lam is not ONE:
-            lam = _unit(lam ** abs(f * e))
-            c = lam if c is ONE else c * lam
-        i -= 1
-    else:
-        # no odd letter repeats, so g^e joins the rest of m1 directly
-        rows = {_concat(pres, m1[:i], m2[:1]) + m1[i:]: ONE}
-    if c is not ONE:
-        rows = {t: c if k is ONE else c * k for t, k in rows.items()}
-    return _mul_rows(pres, rows.items(), m2[1:])
+    swaps = pres._swaps
+    for blk in blocks:
+        g, e = blk
+        nxt = {}
+        for t, k in rows:
+            i = len(t)
+            while i and t[i - 1][0] > g:
+                hf = t[i - 1]
+                lam = swaps.get((hf, blk))
+                if lam is None:
+                    lam, corr = pres._rule(hf[0], 1 if hf[1] > 0 else -1,
+                                           g, 1 if e > 0 else -1)
+                    lam = False if corr else _unit(lam ** abs(hf[1] * e))
+                    swaps[hf, blk] = lam
+                if lam is False:
+                    break
+                if lam is not ONE:
+                    k = lam if k is ONE else k * lam
+                i -= 1
+            else:
+                mo = _concat(pres, t[:i], (blk,))
+                if mo is None:
+                    continue  # an odd square
+                mo += t[i:]
+                c0 = nxt.get(mo)
+                nxt[mo] = k if c0 is None else c0 + k
+                continue
+            p, s = t[:i - 1], t[i:]
+            mask = _odd_mask(pres, p)
+            for u, ku in _block_pair(pres, (hf,), (blk,)):
+                if mask & _odd_mask(pres, u):
+                    continue
+                kk = ku if k is ONE else k if ku is ONE else k * ku
+                for mo, ko in _blocks(pres, ((p, kk),), u + s):
+                    c0 = nxt.get(mo)
+                    nxt[mo] = ko if c0 is None else c0 + ko
+        rows = nxt.items()
+    return [(mo, ko) for mo, ko in rows if ko]
 
 
 def _block_pair(pres, hf, ge):
     """The rows of h^f * g^e, a pair-table entry.
 
-    The letter engine gives h^f * g^±1; every further letter g^±1 multiplies
-    each term of the row by a block product.
+    The letter engine gives h^f * g^±1; the block loop multiplies that row
+    by g^±1 once per further letter.
     """
     row = pres._pair_table.get((hf, ge))
     if row is None:
         g, e = ge[0]
-        x = ((g, 1 if e > 0 else -1),)
-        rows = _run(pres, _fold(pres, {hf: ONE}, x))
-        for _ in range(abs(e) - 1):
-            rows = _mul_rows(pres, rows.items(), x)
-        row = pres._pair_table[hf, ge] = tuple(rows.items())
+        x = (g, 1 if e > 0 else -1)
+        rows = _run(pres, _fold(pres, {hf: ONE}, (x,))).items()
+        row = pres._pair_table[hf, ge] = tuple(
+            _blocks(pres, rows, (x,) * (abs(e) - 1)))
     return row
 
 

@@ -10,15 +10,16 @@ The general path reduces by a polynomial gcd.  These fast paths skip it, and
 each returns the same canonical (num, den) tuples, since a reduced value with
 a monic denominator is unique:
 
+* a product of two Laurent monomials c*q^i, d*q^j is c*d*q^(i+j);
 * a product with a Laurent monomial c*q^k can only cancel a power of q, so
   it shifts exponents and scales by c;
 * a polynomial product with a one-term factor is a shift and a scale;
 * a product of two polynomials (both denominators 1) is already reduced;
 * a quotient whose denominator divides its numerator is settled by one
-  division;
+  division, and a short one that leaves a remainder takes its gcd from it;
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
-  ranges do not overlap concatenates them;
+  ranges do not overlap concatenates them, and others merge their terms;
 * a power raises the numerator and the denominator apart;
 * :func:`qnum` builds its polynomial directly.
 
@@ -103,14 +104,23 @@ def _padd(a, b):
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    d = dict(a)
-    for k, v in b:
-        nv = d.get(k, 0) + v
-        if nv:
-            d[k] = _coef(nv)
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (ka, va), (kb, vb) = a[i], b[j]
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append(b[j])
+            j += 1
         else:
-            d.pop(k, None)
-    return tuple(sorted(d.items()))
+            v = va + vb
+            if v:
+                out.append((ka, v if v.__class__ is int else _coef(v)))
+            i, j = i + 1, j + 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 def _pneg(a):
@@ -467,6 +477,7 @@ class QRational:
             raise ZeroDivisionError("zero denominator in Q(q)")
         if not num:
             return ZERO
+        rem = None
         if len(num) > 1 and len(den) > 1:
             # a quotient of polynomials is often exact (a Gaussian binomial
             # is one), and then one division settles it: an integer divmod
@@ -477,7 +488,8 @@ class QRational:
                 quo, rem = _pdivmod(num, den)
             if quo is not None and not rem:
                 return QRational(quo, _PONE)
-        g = _pgcd(num, den)
+        # gcd(num, den) = gcd(den, num mod den)
+        g = _pgcd(den, rem) if rem else _pgcd(num, den)
         if len(g) > 1:
             num = _kdiv(num, g) or _pdivmod(num, g)[0]
             den = _kdiv(den, g) or _pdivmod(den, g)[0]
@@ -538,11 +550,20 @@ class QRational:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not QRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self, other
         if len(b.num) == len(b.den) == 1:
+            if len(a.num) == len(a.den) == 1:
+                # c*q^i * d*q^j = c*d*q^(i+j) in one step
+                (i, c), (j, d) = a.num[0], b.num[0]
+                k = i + j - a.den[0][0] - b.den[0][0]
+                c = _coef(c * d)
+                if k < 0:
+                    return QRational(((0, c),), ((-k, 1),))
+                return QRational(((k, c),), _PONE)
             a, b = b, a
         if len(a.num) == len(a.den) == 1:
             # c*q^k * N/D, with N/D reduced, can only cancel a power of q:

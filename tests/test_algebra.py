@@ -467,15 +467,27 @@ def _random_monomial(rng, pres):
     return tuple(mono)
 
 
+# exchange factors that are not Laurent monomials, on invertible letters
+SCALED = """
+generator x even invertible
+generator y even invertible
+generator z even invertible
+rule y*x = (q+1)*x*y
+rule z*y = 2*y*z
+rule z*x = q^-1*x*z
+"""
+
+
 def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
     rng = random.Random(19001)
     presentations = [
         DUAL, GL, cli._algebra_by_name("dualxplane"),
         cli._algebra_by_name("dualxdual"), load_presentation(TWIST),
+        load_presentation(SCALED),
     ]
     for pres in presentations:
-        monkeypatch.setattr(pres, "_mul_table", {})
-        monkeypatch.setattr(pres, "_pair_table", {})
+        for cache in ("_mul_table", "_pair_table", "_swaps", "_keys"):
+            monkeypatch.setattr(pres, cache, {})
         for _ in range(120):
             m1 = _random_monomial(rng, pres)
             m2 = _random_monomial(rng, pres)

@@ -423,6 +423,42 @@ def test_polynomial_kernels_match_the_dict_algorithms():
             ]
 
 
+def test_monomial_products_match_the_general_path_fuzz():
+    # c*q^i * c'*q^j in one step against _make of the two _pmul results:
+    # int and Fraction coefficients, Fraction pairs with an integral
+    # product, and negative exponents on either side
+    rng = random.Random(70010)
+    coeffs = (1, -1, 2, -6, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3),
+              Fraction(3, 5), Fraction(5, 3), Fraction(-5, 6))
+    for _ in range(600):
+        a = _laurent_monomial(rng.choice(coeffs), rng.randint(-4, 4))
+        b = _laurent_monomial(rng.choice(coeffs), rng.randint(-4, 4))
+        want = QRational._make(_pmul(a.num, b.num), _pmul(a.den, b.den))
+        assert _structure(a * b) == _structure(want)
+    got = _laurent_monomial(Fraction(2, 3), -2) * _laurent_monomial(Fraction(3, 2), 5)
+    assert _structure(got) == (((3, 1),), ((0, 1),), [int, int])
+    got = _laurent_monomial(Fraction(1, 2), 1) * _laurent_monomial(-2, -3)
+    assert _structure(got) == (((0, -1),), ((2, 1),), [int, int])
+
+
+def test_merged_sums_match_a_dict_reference_fuzz():
+    rng = random.Random(70011)
+    for _ in range(600):
+        a = _random_poly(rng, 12, rng.randint(0, 8))
+        b = _random_poly(rng, 12, rng.randint(0, 8))
+        # on a's degrees: its negative (full cancellation), or 1 or -2 minus
+        # it, which turns a Fraction sum into an integer
+        c = _canon({k: rng.choice((0, 1, -2)) - v for k, v in a})
+        for x, y in ((a, b), (b, a), (a, c), (c, a), (_padd(b, c), a)):
+            got, want = _padd(x, y), _dict_padd(x, y)
+            assert got == want
+            assert [type(v) for _, v in got] == [type(v) for _, v in want]
+        assert _padd(a, tuple((k, -v) for k, v in a)) == ()
+    x = ((0, Fraction(1, 2)), (3, Fraction(-2, 3)))
+    y = ((0, Fraction(1, 2)), (1, 5), (3, Fraction(5, 3)))
+    assert [type(v) for _, v in _padd(x, y)] == [int, int, int]
+
+
 def _strided_poly(rng, terms, stride, low, coeffs):
     # terms at low + stride*i for i in a random set, coefficients from coeffs
     slots = rng.sample(range(2 * terms), terms)

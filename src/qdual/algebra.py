@@ -18,65 +18,65 @@ Elements are finite Q(q)-linear combinations of normal-ordered monomials
 g_1^e1 * ... * g_n^en (exponents: odd in {0,1}, invertible even in Z,
 plain even in N).
 
-One engine computes every normal form: multiplication tables in the manner
-of Plural (Levandovskyy & Schönemann, ISSAC 2003).  Each presentation keeps
-two lazily filled maps, both at unit coefficient: the letter table, from
-(normal-form monomial m, letter x) to the normal form of m*x, and the pair
-table, from two normal-form monomials (m1, m2) to the normal form of m1*m2.
-Every presentation is interned by structure (see
-:mod:`qdual.presentations`), so there is one pair of tables per
-presentation and they live for the whole process.
+One engine computes every normal form and every product: block products on
+a multiplication table in the manner of Plural (Levandovskyy & Schönemann,
+ISSAC 2003).  Each presentation keeps one lazily filled map at unit
+coefficient, the pair table, from two normal-form monomials (m1, m2) to the
+normal form of m1*m2.  Every presentation is interned by structure (see
+:mod:`qdual.presentations`), so there is one table per presentation and it
+lives for the whole process.
 
-A product of two elements looks each out-of-order pair of monomials up in
-the pair table; on a miss it computes their block product and stores the
-rows, which each later product scales by its coefficient.  A block is a
-power g^e of one generator, and one loop multiplies every row by the
-blocks of m2 in turn.  A block g^e moves left past each last block h^f of
-a row whose exchange rule has no correction, at the swap factor of
-h^f * g^e = lam^|f*e| * g^e * h^f, cached per block pair.  At a block
-whose rule has a correction, the one-block pair h^f * g^e, itself a
-pair-table entry built by the same loop from h^f * g^±1, takes the place
-of both blocks.  So a product recurses only where a correction splits a
-row, as deep as its monomials have blocks, never as deep as an exponent,
-and the pair table keeps only the element-level pairs and the one-block
-pairs that were asked for.
+A block is a power g^e of one generator.  One loop multiplies rows, each a
+normal-form monomial with a coefficient, by blocks in turn: a word's normal
+form is the row 1 times the word's runs of one generator, and a product of
+two elements looks each out-of-order pair of monomials up in the pair table
+and, on a miss, stores the row m1 times the blocks of m2, which each later
+product scales by its coefficient.  A block g^e moves left past each last
+block h^f of a row whose exchange rule has no correction, at the swap
+factor of h^f * g^e = lam^|f*e| * g^e * h^f, cached per block pair.  At a
+block whose rule has a correction, the one-block pair h^f * g^e, itself a
+pair-table entry, takes the place of both blocks.  So a product recurses
+only where a correction splits a row, as deep as its monomials have blocks,
+never as deep as an exponent.
 
-A word is folded in letter by letter through the letter table, which
-also gives h^f * g^±1; letters that sort after the monomial or merge with
-its last exponent join it directly.  A missing letter entry is built from
-smaller ones: with m = r * g^s and the exchange rule
-g^s * x = lam * x * g^s + sum mu * u, the entry is
-lam * (r*x)*g^s + sum mu * r*u, each folded through the letter table
-again.  The misses run on an explicit stack, so exponents in the
-thousands need no deep recursion, and every rule applied counts against a
-step cap.
+A one-block pair is filled from the rules.  With s the sign of f, x = g^±1
+and the exchange rule h^s * x = lam * x * h^s + sum mu * u, the entries
+R_j = h^(j*s) * x follow one from the other:
 
-Letter-table entries are keyed on the part of m above x when the part
-split off below it is even: ``b^j c^-9 * b`` reuses the entry for
-``c^-9 * b`` for every j.  When that part holds an odd letter the key is
-the whole monomial, because its odd letters are what make some
-corrections vanish (for the derived rule of ``c^-1 * b^-1`` they stop the
-correction from recreating its own redex).  A one-block pair needs no
-such key: the odd letters that end that chain arise inside its own fill.
+    R_j = lam * R_(j-1) * h^s + sum mu * h^((j-1)*s) * u,    R_0 = x,
+
+each product again by the block loop.  A fill starts after the largest j
+the table holds and stores every R_j up to |f|, in a loop, so exponents in
+the thousands need no deep recursion; h^f * g^e multiplies R_|f| by g^±1
+once per further letter.  One set of open entries and one step count guard
+each fill, with everything it asks for: an entry that needs its own result,
+or a fill past the step cap, raises :class:`RewriteLimitError`.
 
 A word that repeats an odd letter is zero, in every presentation that can
 be built.  Validation rejects any correction that drops an odd letter of
 its exchanged pair, and the derived rules keep the authored corrections
 inside them, so every word that rewriting derives from such a word still
 repeats that letter, and the sorted word it ends at holds the letter's
-square, which is zero.  Rewriting, folding and block products skip such
-words.
+square, which is zero.  Rewriting and block products skip such words.
 
-Folding letter by letter, or multiplying block by block, gives the normal
-form that whole-word rewriting gives only when the presentation is
-confluent, and :meth:`normal_form` and products assume it; check C16
-compares it with random-order rewriting
+The same fact ends the chains of derived rules.  The rule for c^-1 * b^-1
+in the dual algebra has the correction b^-1 c^-1 delta alpha c^-1 b^-1,
+which asks for c^-2 * b^-1 again, behind the odd prefix alpha delta.
+Behind a prefix, the block loop asks for a one-block pair under the odd
+mask of every letter before it, and that pair's fill drops each correction
+word that shares an odd letter with the mask, as zero: there the chain
+ends.  An entry under a nonzero mask is keyed with it and holds the normal
+form less the words that share an odd letter with the mask.
+
+Multiplying block by block gives the normal form that whole-word rewriting
+gives only when the presentation is confluent, and :meth:`normal_form` and
+products assume it; check C16 compares it with random-order rewriting
 (:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
 confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
 oracle.
 
-Elements are immutable.  The two tables and two caches are the only shared
+Elements are immutable.  The table and two caches are the only shared
 mutable state: threads may share elements and presentations, and concurrent
 misses in any of them only compute identical entries twice.
 """
@@ -162,14 +162,6 @@ def _word_key(word, parities):
     return (even, tuple(g for g, _ in word))
 
 
-def _expand(mono):
-    out = []
-    for g, e in mono:
-        s = 1 if e > 0 else -1
-        out.extend((g, s) for _ in range(abs(e)))
-    return tuple(out)
-
-
 def _unit(c):
     return ONE if isinstance(c, QRational) and c.is_one else c
 
@@ -231,12 +223,10 @@ class Presentation:
         self._rules.update(_inverse_rules(self._rules, self.generators))
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
-        # (normal-form monomial, letter) -> normal form of their product at
-        # unit coefficient; filled lazily by _run
-        self._mul_table = {}
         # (normal-form monomial, normal-form monomial) -> their product's
         # (monomial, coefficient) rows at unit coefficient; filled lazily by
-        # Element.__mul__ and, for one-block pairs, by _block_pair
+        # Element.__mul__ and, for one-block pairs, by _block_pair, whose
+        # keys carry a nonzero odd mask as a third item
         self._pair_table = {}
         # the swap factors of _blocks and the sort keys of _element
         self._swaps = {}
@@ -378,14 +368,17 @@ class Presentation:
         """Normal form of coeff * (product of the word's letters).
 
         The word is a sequence of (generator, exponent) pairs, generators by
-        name or index.  Its letters are folded in from left to right through
-        the multiplication table.
+        name or index.  Its runs of one generator are multiplied in from left
+        to right as blocks.
         """
         c = _coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be an int, Fraction or QRational")
         letters = self.letters(word)
-        return self._element(_run(self, _fold(self, {(): c}, letters)))
+        if _has_repeated_odd(self, letters):
+            return self._zero
+        blocks = _word_blocks(letters)
+        return self._element(dict(_blocks(self, (((), c),), blocks)))
 
     def brute_force_nf(self, word, seed, coeff=ONE):
         """Like :meth:`normal_form` but applying rules in seeded random order.
@@ -419,23 +412,17 @@ def _has_repeated_odd(pres, word):
     return False
 
 
-def _collapse(pres, word):
-    # word is rank-sorted; merge runs into exponents, dropping zeros.
-    # Returns None when the monomial is zero (odd square).
-    out = []
+def _word_blocks(word):
+    # a word's runs of one generator as blocks (g, e), dropping e = 0; the
+    # monomial of a sorted word.  A run of an odd letter is a single letter
+    # only in a word that does not repeat one.
+    runs = []
     for g, s in word:
-        if out and out[-1][0] == g:
-            out[-1][1] += s
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += s
         else:
-            out.append([g, s])
-    mono = []
-    for g, e in out:
-        if e == 0:
-            continue
-        if pres._parities[g] == ODD and e >= 2:
-            return None
-        mono.append((g, e))
-    return tuple(mono)
+            runs.append([g, s])
+    return tuple((g, e) for g, e in runs if e)
 
 
 def _letters_str(pres, letters):
@@ -484,7 +471,7 @@ def _reduce(pres, items, *, rng=None):
             t = rng.choice(redexes) if redexes else None
         if t is None:
             # no odd letter repeats, so the monomial is nonzero
-            m = _collapse(pres, word)
+            m = _word_blocks(word)
             c0 = acc.get(m)
             acc[m] = coeff if c0 is None else c0 + coeff
             continue
@@ -675,7 +662,7 @@ def _odd_mask(pres, m):
     return sum(1 << g for g, _ in m if pres._parities[g])
 
 
-def _blocks(pres, rows, blocks):
+def _blocks(pres, rows, blocks, mask=0, fill=None):
     """The (monomial, coefficient) rows times the blocks, in order, as a list
     of (monomial, coefficient) pairs with distinct monomials and no zeros.
 
@@ -686,7 +673,9 @@ def _blocks(pres, rows, blocks):
     where the rule has a correction.  At such a block, t = p * h^f * s, and
     t * g^e is the sum of k * p*u*s over the row (u, k) of the one-block pair
     h^f * g^e, where p*u*s is p times the blocks of u and then of s, again
-    by this loop; a u that shares an odd letter with p gives zero.
+    by this loop.  The rows stand behind odd letters whose bits are mask, so
+    the pair is asked for under mask and the odd letters of p, and is zero
+    when g is one of them; fill guards the fill that asks, if any.
     """
     swaps = pres._swaps
     for blk in blocks:
@@ -716,168 +705,84 @@ def _blocks(pres, rows, blocks):
                 nxt[mo] = k if c0 is None else c0 + k
                 continue
             p, s = t[:i - 1], t[i:]
-            mask = _odd_mask(pres, p)
-            for u, ku in _block_pair(pres, (hf,), (blk,)):
-                if mask & _odd_mask(pres, u):
-                    continue
+            pmask = mask | _odd_mask(pres, p)
+            if pmask >> g & 1:
+                continue  # a repeated odd letter
+            for u, ku in _block_pair(pres, p, hf, blk, pmask, fill):
                 kk = ku if k is ONE else k if ku is ONE else k * ku
-                for mo, ko in _blocks(pres, ((p, kk),), u + s):
+                for mo, ko in _blocks(pres, ((p, kk),), u + s, mask, fill):
                     c0 = nxt.get(mo)
                     nxt[mo] = ko if c0 is None else c0 + ko
         rows = nxt.items()
     return [(mo, ko) for mo, ko in rows if ko]
 
 
-def _block_pair(pres, hf, ge):
-    """The rows of h^f * g^e, a pair-table entry.
+def _block_pair(pres, p, hf, blk, mask, fill):
+    """The rows of h^f * g^e, a pair-table entry, less the words that share
+    an odd letter with mask.
 
-    The letter engine gives h^f * g^±1; the block loop multiplies that row
-    by g^±1 once per further letter.
+    The block loop asks for it at a row p * h^f * s.  On a miss the entries
+    R_j = h^(j*s) * g^±1 are filled from the rule for h^s * g^±1, as the
+    module docstring says, and stored for every j up to |f|; the block loop
+    multiplies R_|f| by g^±1 once per further letter.  fill, the open
+    entries and the step count of the fill that asks, guards every fill
+    this one asks for in turn.
     """
-    row = pres._pair_table.get((hf, ge))
-    if row is None:
-        g, e = ge[0]
-        x = (g, 1 if e > 0 else -1)
-        rows = _run(pres, _fold(pres, {hf: ONE}, (x,))).items()
-        row = pres._pair_table[hf, ge] = tuple(
-            _blocks(pres, rows, (x,) * (abs(e) - 1)))
-    return row
+    table = pres._pair_table
+    key = ((hf,), (blk,), mask) if mask else ((hf,), (blk,))
+    row = table.get(key)
+    if row is not None:
+        return row
+    h, f = hf
+    g, e = blk
+    s = 1 if f > 0 else -1
+    x = (g, 1 if e > 0 else -1)
 
+    def entry(j):
+        return ((((h, j * s),), (x,), mask) if mask
+                else (((h, j * s),), (x,)))
 
-# The table is filled by generator "frames" that _run keeps on an explicit
-# stack.  A frame yields each (monomial, letter) product the table lacks and
-# is sent back its row, a tuple of (monomial, coefficient) pairs.
-
-
-def _fold(pres, cur, letters):
-    """Frame: multiply the {monomial: coefficient} map cur by the letters.
-
-    Letters join a monomial directly when they sort after it or merge with
-    its last exponent; every other product comes from the table.  Returns
-    the resulting map.
-    """
-    table = pres._mul_table
-    parities = pres._parities
-    for x in letters:
-        g, s = x
-        nxt = {}
-        for m, k in cur.items():
-            if not m or m[-1][0] < g:
-                mo = m + (x,)
-            elif m[-1][0] == g:
-                e = m[-1][1] + s
-                if e == 0:
-                    mo = m[:-1]
-                elif parities[g] == ODD:
-                    continue
-                else:
-                    mo = m[:-1] + ((g, e),)
-            else:
-                if parities[g] == ODD and any(h == g for h, _ in m):
-                    continue  # a repeated odd letter: zero, as in _reduce
-                row = table.get((m, x))
-                if row is None:
-                    row = yield m, x
-                for mo, ko in row:
-                    kk = k if ko is ONE else ko if k is ONE else k * ko
-                    c0 = nxt.get(mo)
-                    nxt[mo] = kk if c0 is None else c0 + kk
-                continue
-            c0 = nxt.get(mo)
-            nxt[mo] = k if c0 is None else c0 + k
-        cur = {m: k for m, k in nxt.items() if k}
-    return cur
-
-
-def _exchange(pres, m, x):
-    """Frame for the table entry m*x: one exchange rule, then table folds.
-
-    With m = rest * g^s and the rule g^s * x = lam * x * g^s + sum mu * u,
-    m*x = lam * rest*x*g^s + sum mu * rest*u.
-    """
-    g, e = m[-1]
-    s = 1 if e > 0 else -1
-    rest = m[:-1] if e == s else m[:-1] + ((g, e - s),)
-    lam, corr = pres._rule(g, s, x[0], x[1])
-    acc = {}
-    for mu, word in ((lam, (x, (g, s))),) + corr:
-        part = yield from _fold(pres, {rest: mu}, word)
-        for mo, ko in part.items():
-            c0 = acc.get(mo)
-            acc[mo] = ko if c0 is None else c0 + ko
-    return tuple((mo, ko) for mo, ko in acc.items() if ko)
-
-
-def _prefixed(pres, prefix, core, x):
-    """Frame for (prefix * core) * x from the table entry core * x.
-
-    prefix is even and sorts before x, so it only multiplies each term of
-    core*x from the left.
-    """
-    row = yield core, x
-    acc = {}
-    for t, k in row:
-        mo = _concat(pres, prefix, t)
-        if mo is _NEEDS_REWRITE:
-            part = (yield from _fold(pres, {prefix: k}, _expand(t))).items()
-        else:
-            part = () if mo is None else ((mo, k),)
-        for mo, ko in part:
-            c0 = acc.get(mo)
-            acc[mo] = ko if c0 is None else c0 + ko
-    return tuple((mo, ko) for mo, ko in acc.items() if ko)
-
-
-def _run(pres, frame):
-    """Drive a frame to its result, filling the table entries it lacks.
-
-    An entry m*x is keyed on the part of m above x when the part below is
-    even (the module docstring says why), else on all of m.
-    """
-    table = pres._mul_table
-    parities = pres._parities
-    stack = [(None, frame)]
-    open_keys = set()
-    steps = 0
-    reply = None
-    while True:
-        key, frame = stack[-1]
-        try:
-            m, x = frame.send(reply)
-        except StopIteration as done:
-            reply = done.value
-            stack.pop()
-            if key is not None:
-                table[key] = reply
-                open_keys.discard(key)
-            if not stack:
-                return reply
-            continue
-        reply = None
-        p = 0
-        while m[p][0] <= x[0]:
-            p += 1
-        if p and not any(parities[h] for h, _ in m[:p]):
-            stack.append((None, _prefixed(pres, m[:p], m[p:], x)))
-            continue
-        key = (m, x)
-        reply = table.get(key)
-        if reply is not None:
-            continue
-        g, e = m[-1]
-        pair = ((g, 1 if e > 0 else -1), x)
-        length = sum(abs(e) for _, e in m) + 1
-        if key in open_keys:
+    # the largest j whose entry the table holds
+    n = abs(f)
+    while n and entry(n) not in table:
+        n -= 1
+    rows = table[entry(n)] if n else (((x,), ONE),)
+    if fill is None:
+        fill = [set(), 0]  # the open entries and the steps taken
+    pair = ((h, s), x)
+    lam, corr = pres._rule(h, s, g, x[1])
+    # a correction word that repeats an odd letter, or shares one with
+    # mask, is zero
+    terms = [(mu, _word_blocks(u)) for mu, u in corr
+             if not (_has_repeated_odd(pres, u) or mask & _odd_mask(pres, u))]
+    for j in range(n + 1, abs(f) + 1):
+        k = entry(j)
+        if k in fill[0]:
             raise RewriteLimitError(
-                f"rewriting in {pres.name!r} does not terminate: the rule for "
-                f"{_letters_str(pres, pair)} at a word of length {length} "
-                "needs its own result"
+                f"rewriting in {pres.name!r} does not terminate: the rule "
+                f"for {_letters_str(pres, pair)} at a word of length "
+                f"{j + 1} needs its own result"
             )
-        steps += 1
-        if steps > _STEP_CAP:
+        fill[1] += 1
+        if fill[1] > _STEP_CAP:
+            length = sum(abs(d) for _, d in p) + abs(f) + 1
             raise _step_cap_error(pres, length, pair)
-        open_keys.add(key)
-        stack.append((key, _exchange(pres, m, x)))
+        fill[0].add(k)
+        r = ((h, (j - 1) * s),) if j > 1 else ()
+        parts = [([(mo, ko if lam is ONE else lam * ko) for mo, ko in rows],
+                  (pair[0],))]
+        parts += [(((r, mu),), u) for mu, u in terms]
+        acc = {}
+        for start, blocks in parts:
+            for mo, ko in _blocks(pres, start, blocks, mask, fill):
+                c0 = acc.get(mo)
+                acc[mo] = ko if c0 is None else c0 + ko
+        rows = table[k] = tuple((mo, ko) for mo, ko in acc.items() if ko)
+        fill[0].discard(k)
+    if abs(e) > 1:
+        rows = table[key] = tuple(
+            _blocks(pres, rows, (x,) * (abs(e) - 1), mask, fill))
+    return rows
 
 
 def invert_quasi_unit(x):

@@ -260,7 +260,7 @@ def _whole_word_product(x, y):
     return acc
 
 
-def test_table_products_match_whole_word_rewriting_fuzz():
+def test_table_products_match_whole_word_rewriting_fuzz(monkeypatch):
     rng = random.Random(31337)
     presentations = (
         DUAL,
@@ -269,13 +269,14 @@ def test_table_products_match_whole_word_rewriting_fuzz():
         tensor(DUAL, rename(DUAL, "2"), name="dualxdual"),
     )
     for pres in presentations:
+        monkeypatch.setattr(pres, "_pair_table", {})
         for _ in range(40):
             x = random_element(pres, rng, n_words=3, max_len=4)
             y = random_element(pres, rng, n_words=3, max_len=4)
             want = _whole_word_product(x, y)
             assert x * y == want
             assert x * y == want  # again, from a filled table
-        assert pres._mul_table
+        assert pres._pair_table
 
 
 TWIST = """
@@ -284,15 +285,43 @@ generator theta odd
 rule theta*u = q^2*u*theta
 """
 
+# exchange factors that are not Laurent monomials, on invertible letters
+SCALED = """
+generator x even invertible
+generator y even invertible
+generator z even invertible
+rule y*x = (q+1)*x*y
+rule z*y = 2*y*z
+rule z*x = q^-1*x*z
+"""
 
-def test_normal_form_matches_whole_word_rewriting_fuzz():
+
+def _behind_odd_letters(suffix=""):
+    # inverse letters behind each odd prefix, whose letters end the chain of
+    # c^-k * b^-1 (see the algebra module docstring)
+    a, d, b, c = (name + suffix for name in ("alpha", "delta", "b", "c"))
+    for prefix in ([a], [d], [a, d], [d, a]):
+        for k in range(1, 7):
+            for j in range(1, 7):
+                yield [(g, 1) for g in prefix] + [(c, -k), (b, -j)]
+
+
+def test_normal_form_matches_whole_word_rewriting_fuzz(monkeypatch):
     rng = random.Random(9041)
     presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
-    presentations.append(load_presentation(TWIST))
+    presentations += [load_presentation(TWIST), load_presentation(SCALED)]
     for pres in presentations:
-        for _ in range(60):
-            word = random_word(pres, rng, 7)
-            assert pres.normal_form(word) == _whole_word_nf(pres, word)
+        # from a cold table, so that every masked fill is checked too
+        monkeypatch.setattr(pres, "_pair_table", {})
+        words = [random_word(pres, rng, 7) for _ in range(60)]
+        if pres.name in ("dual", "dualxdual"):
+            words += _behind_odd_letters()
+        if pres.name == "dualxdual":
+            words += _behind_odd_letters("2")
+        for word in words:
+            assert pres.normal_form(word) == _whole_word_nf(pres, word), word
+        if pres.name in ("dual", "dualxdual"):
+            assert any(len(key) == 3 for key in pres._pair_table)
 
 
 def test_long_exponent_misses_need_no_recursion():
@@ -306,18 +335,19 @@ def test_long_exponent_misses_need_no_recursion():
 
 
 def test_cold_long_product_fills_a_bounded_table(monkeypatch):
-    monkeypatch.setattr(DUAL, "_mul_table", {})
     monkeypatch.setattr(DUAL, "_pair_table", {})
     got = DUAL.gen("c", 40) * DUAL.gen("b", 40)
     assert len(got.terms) == 2
-    # the letter engine fills only c^40 * b: the chains c^i * b (40
-    # entries), c^i * delta (39) and (delta c^i) * alpha (40, with i = 0);
-    # the other 39 letters b multiply one-block rows by block products
-    assert len(DUAL._mul_table) == 119
-    assert set(DUAL._pair_table) == {
-        (((3, 40),), ((2, 1),)), (((3, 39),), ((2, 1),)),
-        (((3, 40),), ((2, 40),)),
-    }
+    # c^40 * b fills the chain c^j * b for j = 1..40, and the other 39
+    # letters b multiply its rows; the row alpha delta c^39 asks for
+    # c^39 * b behind alpha delta, a chain of 39 entries under that odd
+    # mask, where the correction vanishes
+    b, c, alpha_delta = 2, 3, 0b11
+    assert set(DUAL._pair_table) == (
+        {(((c, j),), ((b, 1),)) for j in range(1, 41)}
+        | {(((c, j),), ((b, 1),), alpha_delta) for j in range(1, 40)}
+        | {(((c, 40),), ((b, 40),))}
+    )
 
 
 def test_entry_that_needs_itself_fails_fast():
@@ -341,6 +371,34 @@ def test_entry_that_needs_itself_fails_fast():
     assert render_element(pres.normal_form([("v", 1), ("u", 1)])) == "u*v + w"
 
 
+def test_entry_that_needs_itself_behind_an_odd_letter_fails_fast():
+    # the implied rule for g2^-1 g1^-1 recreates its own redex behind g0,
+    # which no correction holds; a fresh interpreter with a time limit, as a
+    # normal form that keeps rewriting would exhaust memory
+    code = (
+        "from qdual.algebra import RewriteLimitError\n"
+        "from qdual.presentations import load_presentation\n"
+        "pres = load_presentation(\n"
+        "    'generator g0 odd\\n'\n"
+        "    'generator g1 even invertible\\n'\n"
+        "    'generator g2 even invertible\\n'\n"
+        "    'rule g1*g0 = q^2*g0*g1\\n'\n"
+        "    'rule g2*g0 = -q*g0*g2\\n'\n"
+        "    'rule g2*g1 = q^-1*g1*g2 + (1 + q^2)\\n', name='slow.qd')\n"
+        "try:\n"
+        "    pres.normal_form([('g0', 1), ('g2', -1), ('g1', -1)])\n"
+        "except RewriteLimitError as err:\n"
+        "    print(err)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          stdout=subprocess.PIPE, timeout=5)
+    assert proc.stdout.decode() == (
+        "rewriting in 'slow.qd' does not terminate: the rule for "
+        "g2^-1*g1^-1 at a word of length 2 needs its own result\n"
+    )
+
+
 def test_scalar_elements_hash_like_their_coefficient():
     assert DUAL.one() == 1 and hash(DUAL.one()) == hash(1)
     assert DUAL.zero() == 0 and hash(DUAL.zero()) == hash(0)
@@ -354,9 +412,8 @@ def test_scalar_elements_hash_like_their_coefficient():
 
 def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     monkeypatch.setattr(algebra, "_STEP_CAP", 0)
-    # normal_form reads the multiplication table too, and the fuzz tests
-    # fill it: start cold so the word needs a rule application
-    monkeypatch.setattr(DUAL, "_mul_table", {})
+    # normal_form reads the pair table too, and the fuzz tests fill it:
+    # start cold so the word needs a rule application
     monkeypatch.setattr(DUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError) as err:
         DUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
@@ -365,7 +422,6 @@ def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
         "length 3, applying the rule for c*b^-1"
     )
     # a table miss inside a product rewrites through the same capped engine
-    monkeypatch.setattr(DUAL, "_mul_table", {})
     monkeypatch.setattr(DUAL, "_pair_table", {})
     with pytest.raises(RewriteLimitError, match=r"length 4, .* rule for c\*b$"):
         DUAL.gen("c", 3) * DUAL.gen("b", 3)
@@ -433,9 +489,9 @@ def test_repeated_product_adds_no_table_entry():
         x = random_element(pres, rng, 3, 5)
         y = random_element(pres, rng, 3, 5)
         first = x * y
-        sizes = len(pres._mul_table), len(pres._pair_table)
+        size = len(pres._pair_table)
         assert (x * y).terms == first.terms
-        assert (len(pres._mul_table), len(pres._pair_table)) == sizes
+        assert len(pres._pair_table) == size
 
 
 def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
@@ -444,10 +500,15 @@ def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
     x = DUAL.normal_form([("c", 3), ("alpha", 1)]) + DUAL.gen("delta")
     y = DUAL.gen("b", 2) + DUAL.normal_form([("alpha", 1), ("b", -1)])
     scaled = (s * x) * y
-    assert DUAL._pair_table
-    for (m1, m2), row in DUAL._pair_table.items():
+    # c^3 * b^2 asks for c^2 * b behind alpha delta
+    assert any(len(key) == 3 for key in DUAL._pair_table)
+    for key, row in DUAL._pair_table.items():
+        # an entry under an odd mask lacks the words that share its letters
+        m1, m2, mask = key if len(key) == 3 else key + (0,)
         want = _whole_word_nf(DUAL, m1 + m2)
-        assert DUAL._element(dict(row)).terms == want.terms
+        assert DUAL._element(dict(row)).terms == tuple(
+            (m, k) for m, k in want.terms
+            if not mask & algebra._odd_mask(DUAL, m))
     assert scaled.terms == (s * (x * y)).terms
 
 
@@ -467,17 +528,6 @@ def _random_monomial(rng, pres):
     return tuple(mono)
 
 
-# exchange factors that are not Laurent monomials, on invertible letters
-SCALED = """
-generator x even invertible
-generator y even invertible
-generator z even invertible
-rule y*x = (q+1)*x*y
-rule z*y = 2*y*z
-rule z*x = q^-1*x*z
-"""
-
-
 def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
     rng = random.Random(19001)
     presentations = [
@@ -486,7 +536,7 @@ def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
         load_presentation(SCALED),
     ]
     for pres in presentations:
-        for cache in ("_mul_table", "_pair_table", "_swaps", "_keys"):
+        for cache in ("_pair_table", "_swaps", "_keys"):
             monkeypatch.setattr(pres, cache, {})
         for _ in range(120):
             m1 = _random_monomial(rng, pres)
@@ -506,8 +556,7 @@ def test_long_block_products_have_two_terms():
         assert got == (DUAL.gen("c", n) * DUAL.gen("b", n - s)) * DUAL.gen("b", s)
 
 
-def test_q_commuting_swap_fills_no_letter_entry(monkeypatch):
-    monkeypatch.setattr(DUAL, "_mul_table", {})
+def test_q_commuting_swap_fills_no_one_block_pair(monkeypatch):
     monkeypatch.setattr(DUAL, "_pair_table", {})
     x = DUAL.normal_form([("b", 50), ("c", 50)])
     y = DUAL.normal_form([("alpha", 1), ("delta", 1)])
@@ -515,7 +564,8 @@ def test_q_commuting_swap_fills_no_letter_entry(monkeypatch):
     # alpha and delta each pass b^50 and c^50 at q per letter
     assert got == q_power(200) * DUAL.normal_form(
         [("alpha", 1), ("delta", 1), ("b", 50), ("c", 50)])
-    assert DUAL._mul_table == {}
+    # the element-level pair only
+    assert set(DUAL._pair_table) == {(x.terms[0][0], y.terms[0][0])}
 
 
 def test_block_product_needs_no_deep_recursion():
@@ -601,8 +651,9 @@ def _eager_reduce(pres, items, *, rng=None, prune=True):
             continue
         redexes = [k for k in range(len(word) - 1) if word[k][0] > word[k + 1][0]]
         if not redexes:
-            m = algebra._collapse(pres, word)
-            if m is not None:
+            # sorted: a repeated odd letter is an odd square
+            if not algebra._has_repeated_odd(pres, word):
+                m = algebra._word_blocks(word)
                 c0 = acc.get(m)
                 acc[m] = coeff if c0 is None else c0 + coeff
             continue

@@ -31,13 +31,14 @@ normal-form monomial with a coefficient, by blocks in turn: a word's normal
 form is the row 1 times the word's runs of one generator, and a product of
 two elements looks each out-of-order pair of monomials up in the pair table
 and, on a miss, stores the row m1 times the blocks of m2, which each later
-product scales by its coefficient.  A block g^e moves left past each last
-block h^f of a row whose exchange rule has no correction, at the swap
-factor of h^f * g^e = lam^|f*e| * g^e * h^f, cached per block pair.  At a
-block whose rule has a correction, the one-block pair h^f * g^e, itself a
-pair-table entry, takes the place of both blocks.  So a product recurses
-only where a correction splits a row, as deep as its monomials have blocks,
-never as deep as an exponent.
+product scales by its coefficient.  A pair that shares an odd letter is
+stored as zero at once.  A block g^e moves left past each last block h^f of
+a row at the swap factor of h^f * g^e = lam^|f*e| * g^e * h^f, cached per
+block pair, wherever the exchange rule has no correction that survives
+there (see below).  At any other block pair, the one-block pair h^f * g^e,
+itself a pair-table entry, takes the place of both blocks.  So a product
+recurses only where a correction splits a row, as deep as its monomials
+have blocks, never as deep as an exponent.
 
 A one-block pair is filled from the rules.  With s the sign of f, x = g^±1
 and the exchange rule h^s * x = lam * x * h^s + sum mu * u, the entries
@@ -57,16 +58,22 @@ be built.  Validation rejects any correction that drops an odd letter of
 its exchanged pair, and the derived rules keep the authored corrections
 inside them, so every word that rewriting derives from such a word still
 repeats that letter, and the sorted word it ends at holds the letter's
-square, which is zero.  Rewriting and block products skip such words.
+square, which is zero.  Rewriting and block products skip such words: two
+monomials that share an odd letter multiply to zero, and a correction that
+shares an odd letter with the letters in front of it vanishes.
 
 The same fact ends the chains of derived rules.  The rule for c^-1 * b^-1
 in the dual algebra has the correction b^-1 c^-1 delta alpha c^-1 b^-1,
-which asks for c^-2 * b^-1 again, behind the odd prefix alpha delta.
-Behind a prefix, the block loop asks for a one-block pair under the odd
-mask of every letter before it, and that pair's fill drops each correction
-word that shares an odd letter with the mask, as zero: there the chain
-ends.  An entry under a nonzero mask is keyed with it and holds the normal
-form less the words that share an odd letter with the mask.
+which asks for c^-2 * b^-1 again, behind the odd prefix alpha delta.  The
+swap cache holds the odd mask of each correction word that repeats no odd
+letter, and at a row p * h^f * s the block loop compares them with the odd
+mask of p and of the letters in front of the row.  Where every correction
+vanishes behind those letters, as delta alpha does behind any odd letter of
+the dual algebra, g^e swaps past h^f as if the rule had none: there the
+chain ends.  Where only some vanish, the one-block pair is asked for under
+that mask, and its fill drops the vanishing correction words.  An entry
+under a nonzero mask is keyed with it and holds the normal form less the
+words that share an odd letter with the mask.
 
 Multiplying block by block gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form` and
@@ -228,7 +235,7 @@ class Presentation:
         # Element.__mul__ and, for one-block pairs, by _block_pair, whose
         # keys carry a nonzero odd mask as a third item
         self._pair_table = {}
-        # the swap factors of _blocks and the sort keys of _element
+        # the swap entries of _blocks (see _swap) and the sort keys of _element
         self._swaps = {}
         self._keys = {}
 
@@ -342,9 +349,8 @@ class Presentation:
 
     # -- words and rewriting ----------------------------------------------
 
-    def letters(self, word):
-        """Expand (generator, exponent) pairs into validated single letters."""
-        out = []
+    def _pairs(self, word):
+        # the word's (generator index, exponent) pairs, validated, less e = 0
         for item in word:
             g, e = item
             if isinstance(g, str):
@@ -360,25 +366,27 @@ class Presentation:
                 raise NonInvertiblePowerError(
                     f"negative power of non-invertible generator {spec.name!r}"
                 )
-            s = 1 if e > 0 else -1
-            out.extend((g, s) for _ in range(abs(e)))
-        return tuple(out)
+            yield g, e
+
+    def letters(self, word):
+        """Expand (generator, exponent) pairs into validated single letters."""
+        return tuple((g, 1 if e > 0 else -1)
+                     for g, e in self._pairs(word) for _ in range(abs(e)))
 
     def normal_form(self, word, coeff=ONE):
         """Normal form of coeff * (product of the word's letters).
 
         The word is a sequence of (generator, exponent) pairs, generators by
         name or index.  Its runs of one generator are multiplied in from left
-        to right as blocks.
+        to right as blocks, with no pair expanded into letters.
         """
         c = _coerce(coeff)
         if c is None:
             raise TypeError("coefficient must be an int, Fraction or QRational")
-        letters = self.letters(word)
-        if _has_repeated_odd(self, letters):
+        pairs = tuple(self._pairs(word))
+        if _has_repeated_odd(self, pairs):
             return self._zero
-        blocks = _word_blocks(letters)
-        return self._element(dict(_blocks(self, (((), c),), blocks)))
+        return self._element(dict(_blocks(self, (((), c),), _word_blocks(pairs))))
 
     def brute_force_nf(self, word, seed, coeff=ONE):
         """Like :meth:`normal_form` but applying rules in seeded random order.
@@ -402,20 +410,23 @@ class Presentation:
 
 
 def _has_repeated_odd(pres, word):
+    # a word of letters (g, ±1) or of pairs (g, e): an odd generator twice,
+    # or at an exponent of 2 or more
     seen = 0
-    for g, _ in word:
+    for g, e in word:
         if pres._parities[g] == ODD:
             bit = 1 << g
-            if seen & bit:
+            if seen & bit or e > 1:
                 return True
             seen |= bit
     return False
 
 
 def _word_blocks(word):
-    # a word's runs of one generator as blocks (g, e), dropping e = 0; the
-    # monomial of a sorted word.  A run of an odd letter is a single letter
-    # only in a word that does not repeat one.
+    # a word's runs of one generator as blocks (g, e), dropping e = 0, from
+    # its letters or its (g, e) pairs; the monomial of a sorted word.  A run
+    # of an odd letter is a single letter only in a word that does not
+    # repeat one.
     runs = []
     for g, s in word:
         if runs and runs[-1][0] == g:
@@ -579,7 +590,10 @@ class Element:
                 if m is _NEEDS_REWRITE:
                     row = pairs.get((m1, m2))
                     if row is None:
-                        row = pairs[m1, m2] = tuple(_blocks(pres, ((m1, ONE),), m2))
+                        # a pair that shares an odd letter is zero
+                        row = pairs[m1, m2] = (
+                            () if _odd_mask(pres, m1) & _odd_mask(pres, m2)
+                            else tuple(_blocks(pres, ((m1, ONE),), m2)))
                     if not row:
                         continue
                     c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
@@ -667,15 +681,16 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
     of (monomial, coefficient) pairs with distinct monomials and no zeros.
 
     Each block g^e multiplies every current row t on the right.  g^e moves
-    left past each last block h^f of t whose rule for h^±1 * g^±1 has no
-    correction, at the factor lam^|f*e|, and then joins the rest of t
-    directly.  The presentation caches that factor per block pair, or False
-    where the rule has a correction.  At such a block, t = p * h^f * s, and
-    t * g^e is the sum of k * p*u*s over the row (u, k) of the one-block pair
-    h^f * g^e, where p*u*s is p times the blocks of u and then of s, again
-    by this loop.  The rows stand behind odd letters whose bits are mask, so
-    the pair is asked for under mask and the odd letters of p, and is zero
-    when g is one of them; fill guards the fill that asks, if any.
+    left past each last block h^f of t, at the factor lam^|f*e| of the rule
+    for h^±1 * g^±1, and then joins the rest of t directly, as long as every
+    correction of the rule shares an odd letter with pmask: the bits of
+    mask, the odd letters in front of the rows, and the odd letters of p,
+    where t = p * h^f * s.  The presentation caches the factor and the
+    corrections' odd masks per block pair (:func:`_swap`).  At any other
+    block pair, t * g^e is the sum of k * p*u*s over the row (u, k) of the
+    one-block pair h^f * g^e under pmask, where p*u*s is p times the blocks
+    of u and then of s, again by this loop; fill guards the fill that asks,
+    if any.
     """
     swaps = pres._swaps
     for blk in blocks:
@@ -685,14 +700,14 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
             i = len(t)
             while i and t[i - 1][0] > g:
                 hf = t[i - 1]
-                lam = swaps.get((hf, blk))
-                if lam is None:
-                    lam, corr = pres._rule(hf[0], 1 if hf[1] > 0 else -1,
-                                           g, 1 if e > 0 else -1)
-                    lam = False if corr else _unit(lam ** abs(hf[1] * e))
-                    swaps[hf, blk] = lam
-                if lam is False:
-                    break
+                sw = swaps.get((hf, blk))
+                if sw is None:
+                    sw = swaps[hf, blk] = _swap(pres, hf, blk)
+                lam, masks = sw
+                if masks:
+                    pmask = mask | _odd_mask(pres, t[:i - 1])
+                    if not all(mk & pmask for mk in masks):
+                        break
                 if lam is not ONE:
                     k = lam if k is ONE else k * lam
                 i -= 1
@@ -705,9 +720,6 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
                 nxt[mo] = k if c0 is None else c0 + k
                 continue
             p, s = t[:i - 1], t[i:]
-            pmask = mask | _odd_mask(pres, p)
-            if pmask >> g & 1:
-                continue  # a repeated odd letter
             for u, ku in _block_pair(pres, p, hf, blk, pmask, fill):
                 kk = ku if k is ONE else k if ku is ONE else k * ku
                 for mo, ko in _blocks(pres, ((p, kk),), u + s, mask, fill):
@@ -715,6 +727,16 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
                     nxt[mo] = ko if c0 is None else c0 + ko
         rows = nxt.items()
     return [(mo, ko) for mo, ko in rows if ko]
+
+
+def _swap(pres, hf, blk):
+    # the swap cache's entry for the block pair h^f * g^e: lam^|f*e| of its
+    # rule and the odd masks of its corrections that repeat no odd letter
+    lam, corr = pres._rule(hf[0], 1 if hf[1] > 0 else -1,
+                           blk[0], 1 if blk[1] > 0 else -1)
+    masks = corr and tuple(_odd_mask(pres, u) for _, u in corr
+                           if not _has_repeated_odd(pres, u))
+    return _unit(lam ** abs(hf[1] * blk[1])), masks
 
 
 def _block_pair(pres, p, hf, blk, mask, fill):

@@ -296,6 +296,23 @@ rule z*x = q^-1*x*z
 """
 
 
+# a rule with two corrections, a*d with the odd letters a and d, and 1 with
+# none: behind a or d only a*d vanishes, so the block loop fills one-block
+# pairs of y^f * x under that odd mask
+SPLIT = """
+generator a odd
+generator d odd
+generator x even
+generator y even
+rule d*a = -a*d
+rule x*a = q*a*x
+rule x*d = q^-1*d*x
+rule y*a = q^-1*a*y
+rule y*d = q*d*y
+rule y*x = x*y + a*d + 1
+"""
+
+
 def _behind_odd_letters(suffix=""):
     # inverse letters behind each odd prefix, whose letters end the chain of
     # c^-k * b^-1 (see the algebra module docstring)
@@ -309,7 +326,8 @@ def _behind_odd_letters(suffix=""):
 def test_normal_form_matches_whole_word_rewriting_fuzz(monkeypatch):
     rng = random.Random(9041)
     presentations = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
-    presentations += [load_presentation(TWIST), load_presentation(SCALED)]
+    presentations += [load_presentation(TWIST), load_presentation(SCALED),
+                      load_presentation(SPLIT, name="split")]
     for pres in presentations:
         # from a cold table, so that every masked fill is checked too
         monkeypatch.setattr(pres, "_pair_table", {})
@@ -318,9 +336,12 @@ def test_normal_form_matches_whole_word_rewriting_fuzz(monkeypatch):
             words += _behind_odd_letters()
         if pres.name == "dualxdual":
             words += _behind_odd_letters("2")
+        if pres.name == "split":
+            words += [[(o, 1), ("y", f), ("x", e)]
+                      for o in "ad" for f in range(1, 5) for e in range(1, 5)]
         for word in words:
             assert pres.normal_form(word) == _whole_word_nf(pres, word), word
-        if pres.name in ("dual", "dualxdual"):
+        if pres.name == "split":
             assert any(len(key) == 3 for key in pres._pair_table)
 
 
@@ -339,13 +360,11 @@ def test_cold_long_product_fills_a_bounded_table(monkeypatch):
     got = DUAL.gen("c", 40) * DUAL.gen("b", 40)
     assert len(got.terms) == 2
     # c^40 * b fills the chain c^j * b for j = 1..40, and the other 39
-    # letters b multiply its rows; the row alpha delta c^39 asks for
-    # c^39 * b behind alpha delta, a chain of 39 entries under that odd
-    # mask, where the correction vanishes
-    b, c, alpha_delta = 2, 3, 0b11
+    # letters b multiply its rows; in the row alpha delta c^39 each b swaps
+    # past c^39, as the correction delta alpha vanishes behind alpha delta
+    b, c = 2, 3
     assert set(DUAL._pair_table) == (
         {(((c, j),), ((b, 1),)) for j in range(1, 41)}
-        | {(((c, j),), ((b, 1),), alpha_delta) for j in range(1, 40)}
         | {(((c, 40),), ((b, 40),))}
     )
 
@@ -415,8 +434,10 @@ def test_rewrite_limit_names_presentation_word_and_rule(monkeypatch):
     # normal_form reads the pair table too, and the fuzz tests fill it:
     # start cold so the word needs a rule application
     monkeypatch.setattr(DUAL, "_pair_table", {})
+    # the correction delta alpha of c*b^-1 survives behind the even prefix b,
+    # whose letter the step-cap length counts
     with pytest.raises(RewriteLimitError) as err:
-        DUAL.normal_form([("alpha", 1), ("c", 1), ("b", -1)])
+        DUAL.normal_form([("b", 1), ("c", 1), ("b", -1)])
     assert str(err.value) == (
         "rewriting in 'dual' exceeded the step cap of 0 at a word of "
         "length 3, applying the rule for c*b^-1"
@@ -495,21 +516,67 @@ def test_repeated_product_adds_no_table_entry():
 
 
 def test_pair_table_rows_are_stored_at_unit_coefficient(monkeypatch):
-    monkeypatch.setattr(DUAL, "_pair_table", {})
+    split = load_presentation(SPLIT, name="split")
+    cases = (
+        (DUAL,
+         DUAL.normal_form([("c", 3), ("alpha", 1)]) + DUAL.gen("delta"),
+         DUAL.gen("b", 2) + DUAL.normal_form([("alpha", 1), ("b", -1)])),
+        # y^3 * x^2 behind a asks for y^j * x under the odd mask of a
+        (split,
+         split.normal_form([("y", 3), ("a", 1)]) + split.gen("d"),
+         split.gen("x", 2) + split.normal_form([("a", 1), ("x", 1)])),
+    )
     s = scalar(Fraction(3, 7)) * Q
-    x = DUAL.normal_form([("c", 3), ("alpha", 1)]) + DUAL.gen("delta")
-    y = DUAL.gen("b", 2) + DUAL.normal_form([("alpha", 1), ("b", -1)])
-    scaled = (s * x) * y
-    # c^3 * b^2 asks for c^2 * b behind alpha delta
-    assert any(len(key) == 3 for key in DUAL._pair_table)
-    for key, row in DUAL._pair_table.items():
-        # an entry under an odd mask lacks the words that share its letters
-        m1, m2, mask = key if len(key) == 3 else key + (0,)
-        want = _whole_word_nf(DUAL, m1 + m2)
-        assert DUAL._element(dict(row)).terms == tuple(
-            (m, k) for m, k in want.terms
-            if not mask & algebra._odd_mask(DUAL, m))
-    assert scaled.terms == (s * (x * y)).terms
+    for pres, x, y in cases:
+        monkeypatch.setattr(pres, "_pair_table", {})
+        scaled = (s * x) * y
+        # every correction of dual vanishes behind its odd letters
+        masked = any(len(key) == 3 for key in pres._pair_table)
+        assert masked == (pres is split)
+        for key, row in pres._pair_table.items():
+            # an entry under an odd mask lacks the words that share its
+            # letters
+            m1, m2, mask = key if len(key) == 3 else key + (0,)
+            want = _whole_word_nf(pres, m1 + m2)
+            assert pres._element(dict(row)).terms == tuple(
+                (m, k) for m, k in want.terms
+                if not mask & algebra._odd_mask(pres, m))
+        assert scaled.terms == (s * (x * y)).terms
+
+
+def test_pair_that_shares_an_odd_letter_is_stored_as_zero(monkeypatch):
+    monkeypatch.setattr(DUAL, "_pair_table", {})
+    x = DUAL.normal_form([("alpha", 1), ("b", 1)])
+    y = DUAL.normal_form([("alpha", 1), ("c", 1)])
+    assert (x * y).is_zero
+    # the element-level row only: no one-block pair was filled for it
+    assert DUAL._pair_table == {(x.terms[0][0], y.terms[0][0]): ()}
+
+
+def test_correction_that_vanishes_behind_odd_letters_is_a_swap(monkeypatch):
+    for cache in ("_pair_table", "_swaps"):
+        monkeypatch.setattr(DUAL, cache, {})
+    # c * b^-1 = b^-1 * c + (a word holding delta alpha), which vanishes
+    # behind alpha: the block loop swaps and fills no pair entry
+    word = [("alpha", 1), ("c", 1), ("b", -1)]
+    got = DUAL.normal_form(word)
+    assert DUAL._pair_table == {}
+    assert got == _whole_word_nf(DUAL, word)
+    assert got == DUAL.normal_form([("alpha", 1), ("b", -1), ("c", 1)])
+
+
+def test_cold_suite_fills_a_bounded_table(monkeypatch):
+    # the pair-table sizes of a cold run_suite(6): zero rows of pairs that
+    # share an odd letter and swaps behind odd letters fill nothing more
+    from qdual.checks import run_suite
+    for pres in (DUAL, GL):
+        for cache in ("_pair_table", "_swaps", "_keys"):
+            monkeypatch.setattr(pres, cache, {})
+    run_suite(6)
+    assert len(DUAL._pair_table) <= 606
+    assert len(GL._pair_table) <= 304
+    for pres in (DUAL, GL):
+        assert not any(len(key) == 3 for key in pres._pair_table)
 
 
 # -- block products --------------------------------------------------------
@@ -872,6 +939,22 @@ def test_rejects_non_decreasing_correction():
     rules = {(1, 1, 0, 1): (Q, ((ONE, ((0, 1), (1, 1))),))}
     with pytest.raises(PresentationError):
         Presentation("bad", gens, rules)
+
+
+def test_normal_form_expands_no_letters(monkeypatch):
+    def refuse(self, word):
+        raise AssertionError("normal_form expanded a word into letters")
+
+    monkeypatch.setattr(Presentation, "letters", refuse)
+    assert str(DUAL.gen("c", 10**9)) == "c^1000000000"
+    assert str(DUAL.gen("b", -10**9)) == "b^-1000000000"
+    # adjacent runs of one generator merge; an odd letter twice is zero
+    assert str(DUAL.normal_form([("c", 3), ("b", 0), ("c", -1)])) == "c^2"
+    assert DUAL.normal_form([("alpha", 1), ("b", 2), ("alpha", 1)]).is_zero
+    assert DUAL.gen("delta", 2).is_zero
+    # every pair is checked, also behind a word that is zero
+    with pytest.raises(NonInvertiblePowerError):
+        DUAL.normal_form([("alpha", 2), ("delta", -1)])
 
 
 def test_letters_validation():

@@ -33,12 +33,14 @@ two elements looks each out-of-order pair of monomials up in the pair table
 and, on a miss, stores the row m1 times the blocks of m2, which each later
 product scales by its coefficient.  A pair that shares an odd letter is
 stored as zero at once.  A block g^e moves left past each last block h^f of
-a row at the swap factor of h^f * g^e = lam^|f*e| * g^e * h^f, cached per
-block pair, wherever the exchange rule has no correction that survives
-there (see below).  At any other block pair, the one-block pair h^f * g^e,
-itself a pair-table entry, takes the place of both blocks.  So a product
-recurses only where a correction splits a row, as deep as its monomials
-have blocks, never as deep as an exponent.
+a row by a swap, h^f * g^e = lam^|f*e| * g^e * h^f, wherever the exchange
+rule has no correction that survives there (see below).  The swap cache
+holds one entry per rule, with lam = c * q^k as the pair (c, k) of a
+rational c and an integer k where lam has that form, so a run of swaps
+adds exponents and scales the row once.  At any other block pair, the
+one-block pair h^f * g^e, itself a pair-table entry, takes the place of both
+blocks.  So a product recurses only where a correction splits a row, as deep
+as its monomials have blocks, never as deep as an exponent.
 
 A one-block pair is filled from the rules.  With s the sign of f, x = g^±1
 and the exchange rule h^s * x = lam * x * h^s + sum mu * u, the entries
@@ -71,9 +73,10 @@ mask of p and of the letters in front of the row.  Where every correction
 vanishes behind those letters, as delta alpha does behind any odd letter of
 the dual algebra, g^e swaps past h^f as if the rule had none: there the
 chain ends.  Where only some vanish, the one-block pair is asked for under
-that mask, and its fill drops the vanishing correction words.  An entry
-under a nonzero mask is keyed with it and holds the normal form less the
-words that share an odd letter with the mask.
+that mask, less the bits that no correction of the rule holds, and its fill
+drops the vanishing correction words.  An entry under a nonzero mask is
+keyed with it and holds the normal form less the words that share an odd
+letter with the mask.
 
 Multiplying block by block gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form` and
@@ -93,7 +96,7 @@ import re
 import sys
 from collections import namedtuple
 
-from .qfield import ONE, QRational, ZERO, _PONE, _coerce, _pstr
+from .qfield import ONE, QRational, ZERO, _PONE, _coerce, _pstr, _qmono
 
 EVEN = 0
 ODD = 1
@@ -235,7 +238,8 @@ class Presentation:
         # Element.__mul__ and, for one-block pairs, by _block_pair, whose
         # keys carry a nonzero odd mask as a third item
         self._pair_table = {}
-        # the swap entries of _blocks (see _swap) and the sort keys of _element
+        # one swap entry per rule key, filled on first use (see _swap), and
+        # per monomial its sort key and odd mask (see _sort_key)
         self._swaps = {}
         self._keys = {}
 
@@ -324,12 +328,25 @@ class Presentation:
         return Element(self, tuple(terms))
 
     def _sort_key(self, term):
-        # (even degree, monomial), computed once per monomial
-        key = self._keys.get(term[0])
+        # (even degree, monomial, odd mask), computed once per monomial; the
+        # odd mask never decides the order, as the monomials differ
+        m = term[0]
+        key = self._keys.get(m)
         if key is None:
-            even = sum(abs(e) for g, e in term[0] if self._parities[g] == EVEN)
-            key = self._keys[term[0]] = (even, term[0])
+            even = odd = 0
+            for g, e in m:
+                if self._parities[g]:
+                    odd |= 1 << g
+                else:
+                    even += abs(e)
+            key = self._keys[m] = (even, m, odd)
         return key
+
+    def _odd(self, m):
+        # the odd mask of a normal-form monomial, from its sort key where an
+        # element holds it; the block loop's passing rows add no key
+        key = self._keys.get(m)
+        return key[2] if key else _odd_mask(self, m)
 
     def zero(self):
         return self._zero
@@ -541,7 +558,8 @@ class Element:
                 f"({self.pres.name!r} vs {other.pres.name!r})"
             )
 
-    def __add__(self, other):
+    def _merge(self, other, negate):
+        # self + other, or self - other with negate set
         if not isinstance(other, Element):
             c = _coerce(other)
             if c is None:
@@ -550,9 +568,14 @@ class Element:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms:
+            if negate:
+                c = -c
             c0 = acc.get(m)
             acc[m] = c if c0 is None else c0 + c
         return self.pres._element(acc)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     __radd__ = __add__
 
@@ -560,12 +583,7 @@ class Element:
         return Element(self.pres, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
-        if not isinstance(other, Element):
-            c = _coerce(other)
-            if c is None:
-                return NotImplemented
-            other = self.pres.scalar(c)
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -592,7 +610,7 @@ class Element:
                     if row is None:
                         # a pair that shares an odd letter is zero
                         row = pairs[m1, m2] = (
-                            () if _odd_mask(pres, m1) & _odd_mask(pres, m2)
+                            () if pres._odd(m1) & pres._odd(m2)
                             else tuple(_blocks(pres, ((m1, ONE),), m2)))
                     if not row:
                         continue
@@ -676,67 +694,111 @@ def _odd_mask(pres, m):
     return sum(1 << g for g, _ in m if pres._parities[g])
 
 
+def _factor(c, k):
+    # the scalar c * q^k of a swap run, which the caller has found is not one
+    if c.__class__ is QRational:
+        return c * _qmono(1, k) if k else c
+    return _qmono(c, k)
+
+
+def _swap_run(pres, t, g, e, mask):
+    """How far the block g^e moves left through the last blocks of the
+    monomial t by swaps, and at what factor.
+
+    g^e passes a block h^f (h > g) at lam^|f*e| of the rule for h^±1 * g^±1
+    as long as every correction of the rule shares an odd letter with
+    pmask: the bits of mask and the odd letters of t below h, in front of
+    h^f.  Returns (i, c, k, pmask): g^e has passed t[i:] at the factor
+    c * q^k, where c is an int or a Fraction, or a QRational once a rule's
+    factor is no Laurent monomial; pmask is None where g^e reached its place,
+    and otherwise the odd mask under which the one-block pair t[i-1] * g^e
+    is asked for, less the bits that no correction of its rule holds.
+    """
+    swaps = pres._swaps
+    sg = 1 if e > 0 else -1
+    c, k, odd = 1, 0, None
+    i = len(t)
+    while i:
+        h, f = t[i - 1]
+        if h <= g:
+            break
+        rule = (h, 1 if f > 0 else -1, g, sg)
+        sw = swaps.get(rule)
+        if sw is None:
+            sw = swaps[rule] = _swap(pres, rule)
+        lc, lk, masks, cmask = sw
+        if masks:
+            if odd is None:
+                odd = pres._odd(t)
+            pmask = mask | (odd & ((1 << h) - 1))
+            if not all(mk & pmask for mk in masks):
+                return i, c, k, pmask & cmask
+        n = abs(f * e)
+        if lc != 1:
+            c *= lc ** n
+        k += lk * n
+        i -= 1
+    return i, c, k, None
+
+
 def _blocks(pres, rows, blocks, mask=0, fill=None):
     """The (monomial, coefficient) rows times the blocks, in order, as a list
     of (monomial, coefficient) pairs with distinct monomials and no zeros.
 
     Each block g^e multiplies every current row t on the right.  g^e moves
-    left past each last block h^f of t, at the factor lam^|f*e| of the rule
-    for h^±1 * g^±1, and then joins the rest of t directly, as long as every
-    correction of the rule shares an odd letter with pmask: the bits of
-    mask, the odd letters in front of the rows, and the odd letters of p,
-    where t = p * h^f * s.  The presentation caches the factor and the
-    corrections' odd masks per block pair (:func:`_swap`).  At any other
-    block pair, t * g^e is the sum of k * p*u*s over the row (u, k) of the
-    one-block pair h^f * g^e under pmask, where p*u*s is p times the blocks
-    of u and then of s, again by this loop; fill guards the fill that asks,
-    if any.
+    left past the last blocks of t by swaps (:func:`_swap_run`, with the odd
+    letters in front of the rows as mask), scaling the row once by the
+    product of their factors, and then joins the rest of t directly.  Where
+    it stops at a block h^f, with t = p * h^f * s, t * g^e is the sum of
+    k * p*u*s over the row (u, k) of the one-block pair h^f * g^e under the
+    mask the run returns, where p*u*s is p times the blocks of u and then of
+    s, again by this loop; fill guards the fill that asks, if any.
     """
-    swaps = pres._swaps
     for blk in blocks:
         g, e = blk
         nxt = {}
         for t, k in rows:
             i = len(t)
-            while i and t[i - 1][0] > g:
-                hf = t[i - 1]
-                sw = swaps.get((hf, blk))
-                if sw is None:
-                    sw = swaps[hf, blk] = _swap(pres, hf, blk)
-                lam, masks = sw
-                if masks:
-                    pmask = mask | _odd_mask(pres, t[:i - 1])
-                    if not all(mk & pmask for mk in masks):
-                        break
-                if lam is not ONE:
-                    k = lam if k is ONE else k * lam
-                i -= 1
-            else:
-                mo = _concat(pres, t[:i], (blk,))
-                if mo is None:
-                    continue  # an odd square
-                mo += t[i:]
-                c0 = nxt.get(mo)
-                nxt[mo] = k if c0 is None else c0 + k
-                continue
-            p, s = t[:i - 1], t[i:]
-            for u, ku in _block_pair(pres, p, hf, blk, pmask, fill):
-                kk = ku if k is ONE else k if ku is ONE else k * ku
-                for mo, ko in _blocks(pres, ((p, kk),), u + s, mask, fill):
-                    c0 = nxt.get(mo)
-                    nxt[mo] = ko if c0 is None else c0 + ko
+            if i and t[-1][0] > g:
+                i, c, n, pmask = _swap_run(pres, t, g, e, mask)
+                if c != 1 or n:
+                    f = _factor(c, n)
+                    k = f if k is ONE else k * f
+                if pmask is not None:
+                    p, s = t[:i - 1], t[i:]
+                    for u, ku in _block_pair(pres, p, t[i - 1], blk, pmask,
+                                             fill):
+                        kk = ku if k is ONE else k if ku is ONE else k * ku
+                        for mo, ko in _blocks(pres, ((p, kk),), u + s, mask,
+                                              fill):
+                            c0 = nxt.get(mo)
+                            nxt[mo] = ko if c0 is None else c0 + ko
+                    continue
+            mo = _concat(pres, t[:i], (blk,))
+            if mo is None:
+                continue  # an odd square
+            mo += t[i:]
+            c0 = nxt.get(mo)
+            nxt[mo] = k if c0 is None else c0 + k
         rows = nxt.items()
     return [(mo, ko) for mo, ko in rows if ko]
 
 
-def _swap(pres, hf, blk):
-    # the swap cache's entry for the block pair h^f * g^e: lam^|f*e| of its
-    # rule and the odd masks of its corrections that repeat no odd letter
-    lam, corr = pres._rule(hf[0], 1 if hf[1] > 0 else -1,
-                           blk[0], 1 if blk[1] > 0 else -1)
-    masks = corr and tuple(_odd_mask(pres, u) for _, u in corr
-                           if not _has_repeated_odd(pres, u))
-    return _unit(lam ** abs(hf[1] * blk[1])), masks
+def _swap(pres, rule):
+    # the swap entry of a rule key: its factor lam = c * q^k as (c, k), with
+    # c an int or a Fraction, or as (lam, 0) where lam is no Laurent
+    # monomial; the odd masks of the rule's corrections that repeat no odd
+    # letter, and their union
+    lam, corr = pres._rules[rule]
+    masks = tuple(_odd_mask(pres, u) for _, u in corr
+                  if not _has_repeated_odd(pres, u))
+    cmask = 0
+    for mk in masks:
+        cmask |= mk
+    if len(lam.num) == len(lam.den) == 1:
+        (k, c), = lam.num
+        return c, k - lam.den[0][0], masks, cmask
+    return lam, 0, masks, cmask
 
 
 def _block_pair(pres, p, hf, blk, mask, fill):

@@ -20,6 +20,8 @@ a monic denominator is unique:
 * a sum over one shared denominator adds the numerators (and needs no
   reduction when that denominator is 1); a sum of polynomials whose degree
   ranges do not overlap concatenates them, and others merge their terms;
+* a sum over two different powers of q shifts the numerator over the
+  smaller one up to the larger and adds, with no reduction;
 * a power raises the numerator and the denominator apart;
 * :func:`qnum` builds its polynomial directly.
 
@@ -527,6 +529,12 @@ class QRational:
             if self.den != _PONE:
                 return QRational._make(num, self.den)
             return QRational(num, _PONE) if num else ZERO
+        if len(self.den) == len(other.den) == 1:
+            # A/q^a + B/q^b with a < b is (q^(b-a)*A + B)/q^b, reduced: B
+            # has a nonzero constant term, which the sum keeps
+            shift = other.den[0][0] - self.den[0][0]
+            a, b = (self, other) if shift > 0 else (other, self)
+            return QRational(_padd(_pshift(a.num, abs(shift)), b.num), b.den)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return QRational._make(num, _pmul(self.den, other.den))
 
@@ -684,6 +692,14 @@ def q_power(k):
     if k >= 0:
         return QRational(((k, 1),), _PONE)
     return QRational(_PONE, ((-k, 1),))
+
+
+def _qmono(c, k):
+    # c * q^k for a nonzero int or Fraction c
+    c = _coef(c)
+    if k >= 0:
+        return QRational(((k, c),), _PONE)
+    return QRational(((0, c),), ((-k, 1),))
 
 
 ZERO = QRational(_PZERO, _PONE)

@@ -577,6 +577,43 @@ def test_cold_suite_fills_a_bounded_table(monkeypatch):
     assert len(GL._pair_table) <= 304
     for pres in (DUAL, GL):
         assert not any(len(key) == 3 for key in pres._pair_table)
+        # one swap entry per rule, whatever the exponents it swapped at
+        assert len(pres._swaps) <= len(pres._rules)
+
+
+def test_long_swap_chain_keeps_one_entry_per_rule(monkeypatch):
+    for cache in ("_pair_table", "_swaps", "_keys"):
+        monkeypatch.setattr(DUAL, cache, {})
+    DUAL.normal_form([("c", 3000), ("b", 1)])
+    assert len(DUAL._swaps) <= len(DUAL._rules)
+
+
+def _correction_bits(pres, rule):
+    # the odd letters of a rule's corrections that repeat no odd letter
+    bits = 0
+    for _, u in pres._rules[rule][1]:
+        if not algebra._has_repeated_odd(pres, u):
+            bits |= algebra._odd_mask(pres, u)
+    return bits
+
+
+def test_masked_entries_carry_only_correction_bits(monkeypatch):
+    # alpha holds no letter of c2*b2's correction delta2 alpha2, so c2^j * b2
+    # behind alpha is the unmasked entry; in split, y^j * x behind a keeps
+    # the bit of a, which the correction a*d holds
+    cases = ((cli._algebra_by_name("dualxdual"),
+              [("alpha", 1), ("c2", 2), ("b2", 1)]),
+             (load_presentation(SPLIT, name="split"),
+              [("a", 1), ("y", 3), ("x", 2)]))
+    for pres, word in cases:
+        for cache in ("_pair_table", "_swaps", "_keys"):
+            monkeypatch.setattr(pres, cache, {})
+        assert pres.normal_form(word) == _whole_word_nf(pres, word)
+        masked = [key for key in pres._pair_table if len(key) == 3]
+        assert bool(masked) == (pres.name == "split")
+        for ((h, f),), ((g, e),), mask in masked:
+            rule = (h, 1 if f > 0 else -1, g, 1 if e > 0 else -1)
+            assert mask & ~_correction_bits(pres, rule) == 0, (h, f, g, e, mask)
 
 
 # -- block products --------------------------------------------------------
@@ -595,22 +632,65 @@ def _random_monomial(rng, pres):
     return tuple(mono)
 
 
+# exchange factors lam = c*q^k with c a Fraction or an integer other than
+# +-1, and one correction that vanishes behind a or d
+SCALED_ODD = """
+generator a odd
+generator d odd
+generator x even invertible
+generator y even invertible
+rule d*a = -a*d
+rule x*a = 2*q*a*x
+rule x*d = 1/2*d*x
+rule y*a = -3*q^-1*a*y
+rule y*d = q*d*y
+rule y*x = 2/3*q*x*y + a*d
+"""
+
+# an exchange factor that is no Laurent monomial, raised per swap
+POWER = """
+generator b even invertible
+generator c even invertible
+rule c*b = (q+1)^16*b*c
+"""
+
+
 def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
+    # from cold tables: pair-table misses whose blocks all swap, and misses
+    # that ask for a one-block pair, told apart by its calls
+    calls = []
+    block_pair = algebra._block_pair
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return block_pair(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_block_pair", counted)
     rng = random.Random(19001)
     presentations = [
         DUAL, GL, cli._algebra_by_name("dualxplane"),
         cli._algebra_by_name("dualxdual"), load_presentation(TWIST),
-        load_presentation(SCALED),
+        load_presentation(SCALED), cli._algebra_by_name("glxplane"),
+        load_presentation(SCALED_ODD, name="scaled_odd"),
+        load_presentation(POWER, name="power"),
     ]
     for pres in presentations:
         for cache in ("_pair_table", "_swaps", "_keys"):
             monkeypatch.setattr(pres, cache, {})
+        paths = {"swaps": 0, "one-block pair": 0}
         for _ in range(120):
             m1 = _random_monomial(rng, pres)
             m2 = _random_monomial(rng, pres)
+            miss = (m1, m2) not in pres._pair_table
+            before = len(calls)
             got = pres._element({m1: ONE}) * pres._element({m2: ONE})
             assert got == _whole_word_nf(pres, m1 + m2), (pres.name, m1, m2)
-        assert pres._pair_table
+            if miss and (m1, m2) in pres._pair_table:
+                paths["one-block pair" if len(calls) > before else "swaps"] += 1
+        assert paths["swaps"], pres.name
+        # only a rule with a correction can stop a swap
+        corrections = any(corr for _, corr in pres._rules.values())
+        assert bool(paths["one-block pair"]) == corrections, pres.name
 
 
 def test_long_block_products_have_two_terms():

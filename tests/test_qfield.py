@@ -459,6 +459,43 @@ def test_merged_sums_match_a_dict_reference_fuzz():
     assert [type(v) for _, v in _padd(x, y)] == [int, int, int]
 
 
+def test_sums_over_powers_of_q_match_the_general_path_fuzz(monkeypatch):
+    # A/q^i + B/q^j against the cross-product sum, with the targets T = a + b
+    # of 0, a constant, a polynomial and q^-k.  b = T - a has a's power of q
+    # unless T's is larger, and only then does the sum take the shift path:
+    # a sum over two different powers of q keeps the larger one, as the
+    # numerator over it has a nonzero constant term
+    shifted = []
+    add = QRational.__add__
+
+    def counted(x, y):
+        if len(x.den) == len(y.den) == 1 and x.den != y.den:
+            shifted.append(None)
+        return add(x, y)
+
+    monkeypatch.setattr(QRational, "__add__", counted)
+    rng = random.Random(70023)
+    for _ in range(400):
+        a = QRational._make(_random_poly(rng, 6, rng.randint(1, 4)),
+                            ((rng.randint(0, 5), 1),))
+        k = rng.randint(1, 8)
+        targets = (ZERO, scalar(rng.choice(_COEFFS)),
+                   QRational(_random_poly(rng, 5, 3) or ((0, 1),), ((0, 1),)),
+                   q_power(-k), rng.choice(_COEFFS) * q_power(-k))
+        others = [t - a for t in targets]
+        others.append(QRational._make(_random_poly(rng, 6, rng.randint(1, 4)),
+                                      ((rng.randint(0, 5), 1),)))
+        for b in others:
+            for x, y in ((a, b), (b, a)):
+                got, want = x + y, _general_add(x, y)
+                assert _structure(got) == _structure(want)
+                assert got == want and hash(got) == hash(want)
+        for t, b in zip(targets, others):
+            assert a + b == t and hash(a + b) == hash(t)
+            assert hash(b + a) == hash(t)
+    assert len(shifted) > 1000
+
+
 def _strided_poly(rng, terms, stride, low, coeffs):
     # terms at low + stride*i for i in a random set, coefficients from coeffs
     slots = rng.sample(range(2 * terms), terms)

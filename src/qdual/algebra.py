@@ -62,21 +62,24 @@ inside them, so every word that rewriting derives from such a word still
 repeats that letter, and the sorted word it ends at holds the letter's
 square, which is zero.  Rewriting and block products skip such words: two
 monomials that share an odd letter multiply to zero, and a correction that
-shares an odd letter with the letters in front of it vanishes.
+shares an odd letter with the rest of its row vanishes.
 
 The same fact ends the chains of derived rules.  The rule for c^-1 * b^-1
 in the dual algebra has the correction b^-1 c^-1 delta alpha c^-1 b^-1,
 which asks for c^-2 * b^-1 again, behind the odd prefix alpha delta.  The
 swap cache holds the odd mask of each correction word that repeats no odd
 letter, and at a row p * h^f * s the block loop compares them with the odd
-mask of p and of the letters in front of the row.  Where every correction
-vanishes behind those letters, as delta alpha does behind any odd letter of
+mask of p, of s and of the letters around the row.  Where every correction
+shares one of those letters, as delta alpha does with any odd letter of
 the dual algebra, g^e swaps past h^f as if the rule had none: there the
-chain ends.  Where only some vanish, the one-block pair is asked for under
+chain ends.  Where only some do, the one-block pair is asked for under
 that mask, less the bits that no correction of the rule holds, and its fill
 drops the vanishing correction words.  An entry under a nonzero mask is
 keyed with it and holds the normal form less the words that share an odd
-letter with the mask.
+letter with the mask.  A swap alone cannot end every chain: with
+y*x = x*y + a*d*y*x + 1 (a, d odd) the correction 1 never vanishes, so the
+fill of y*x asks for y*x again behind a*d, and only the entry under the
+mask of a and d, which drops a*d*y*x, ends it.
 
 Multiplying block by block gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form` and
@@ -568,10 +571,11 @@ class Element:
         self._check(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            if negate:
-                c = -c
             c0 = acc.get(m)
-            acc[m] = c if c0 is None else c0 + c
+            if c0 is None:
+                acc[m] = -c if negate else c
+            else:
+                acc[m] = c0 - c if negate else c0 + c
         return self.pres._element(acc)
 
     def __add__(self, other):
@@ -707,12 +711,13 @@ def _swap_run(pres, t, g, e, mask):
 
     g^e passes a block h^f (h > g) at lam^|f*e| of the rule for h^±1 * g^±1
     as long as every correction of the rule shares an odd letter with
-    pmask: the bits of mask and the odd letters of t below h, in front of
-    h^f.  Returns (i, c, k, pmask): g^e has passed t[i:] at the factor
-    c * q^k, where c is an int or a Fraction, or a QRational once a rule's
-    factor is no Laurent monomial; pmask is None where g^e reached its place,
-    and otherwise the odd mask under which the one-block pair t[i-1] * g^e
-    is asked for, less the bits that no correction of its rule holds.
+    pmask: the bits of mask and the odd letters of the rest of t, on both
+    sides of h^f.  Returns (i, c, k, pmask): g^e has passed t[i:] at the
+    factor c * q^k, where c is an int or a Fraction, or a QRational once a
+    rule's factor is no Laurent monomial; pmask is None where g^e reached its
+    place, and otherwise the odd mask under which the one-block pair
+    t[i-1] * g^e is asked for, less the bits that no correction of its rule
+    holds.
     """
     swaps = pres._swaps
     sg = 1 if e > 0 else -1
@@ -730,7 +735,7 @@ def _swap_run(pres, t, g, e, mask):
         if masks:
             if odd is None:
                 odd = pres._odd(t)
-            pmask = mask | (odd & ((1 << h) - 1))
+            pmask = mask | (odd & ~(1 << h))
             if not all(mk & pmask for mk in masks):
                 return i, c, k, pmask & cmask
         n = abs(f * e)
@@ -747,7 +752,7 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
 
     Each block g^e multiplies every current row t on the right.  g^e moves
     left past the last blocks of t by swaps (:func:`_swap_run`, with the odd
-    letters in front of the rows as mask), scaling the row once by the
+    letters around the rows as mask), scaling the row once by the
     product of their factors, and then joins the rest of t directly.  Where
     it stops at a block h^f, with t = p * h^f * s, t * g^e is the sum of
     k * p*u*s over the row (u, k) of the one-block pair h^f * g^e under the

@@ -524,19 +524,7 @@ class QRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            num = _padd(self.num, other.num)
-            if self.den != _PONE:
-                return QRational._make(num, self.den)
-            return QRational(num, _PONE) if num else ZERO
-        if len(self.den) == len(other.den) == 1:
-            # A/q^a + B/q^b with a < b is (q^(b-a)*A + B)/q^b, reduced: B
-            # has a nonzero constant term, which the sum keeps
-            shift = other.den[0][0] - self.den[0][0]
-            a, b = (self, other) if shift > 0 else (other, self)
-            return QRational(_padd(_pshift(a.num, abs(shift)), b.num), b.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return QRational._make(num, _pmul(self.den, other.den))
+        return _qsum(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
@@ -549,13 +537,13 @@ class QRational:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _qsum(self.num, self.den, _pneg(other.num), other.den)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _qsum(other.num, other.den, _pneg(self.num), self.den)
 
     def __mul__(self, other):
         if other.__class__ is not QRational:
@@ -660,6 +648,23 @@ class QRational:
         return f"({_pstr(self.num)})/({_pstr(self.den)})"
 
     __repr__ = __str__
+
+
+def _qsum(an, ad, bn, bd):
+    # an/ad + bn/bd, both reduced; a difference negates one numerator
+    if ad == bd:
+        num = _padd(an, bn)
+        if ad != _PONE:
+            return QRational._make(num, ad)
+        return QRational(num, _PONE) if num else ZERO
+    if len(ad) == len(bd) == 1:
+        # A/q^a + B/q^b with a < b is (q^(b-a)*A + B)/q^b, reduced: B has a
+        # nonzero constant term, which the sum keeps
+        shift = bd[0][0] - ad[0][0]
+        if shift < 0:
+            an, bn, bd, shift = bn, an, ad, -shift
+        return QRational(_padd(_pshift(an, shift), bn), bd)
+    return QRational._make(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
 
 
 def _coerce(v):

@@ -345,6 +345,28 @@ def test_normal_form_matches_whole_word_rewriting_fuzz(monkeypatch):
             assert any(len(key) == 3 for key in pres._pair_table)
 
 
+def test_correction_holding_its_own_pair_ends_behind_odd_letters(monkeypatch):
+    # y*x = x*y + a*d*y*x + 1: the correction 1 never vanishes, so no swap
+    # ends the chain; the fill of y*x asks for y*x again behind a*d, where
+    # only the entry under the mask of a and d, without a*d*y*x, ends it
+    pres = load_presentation(
+        SPLIT.replace("a*d + 1", "a*d*y*x + 1"), name="split_self")
+    monkeypatch.setattr(pres, "_pair_table", {})
+    words = [[("y", 1), ("x", 1)], [("a", 1), ("y", 2), ("x", 1)]]
+    words += [[("y", f), ("x", e)] for f in range(1, 4) for e in range(1, 4)]
+    words += [[(o, 1), ("y", f), ("x", e)]
+              for o in "ad" for f in range(1, 4) for e in range(1, 4)]
+    for word in words:
+        assert pres.normal_form(word) == _whole_word_nf(pres, word), word
+    x = pres.normal_form([("y", 2), ("a", 1)]) + pres.gen("x")
+    y = pres.gen("x", 2) + pres.normal_form([("y", 1), ("d", 1)])
+    assert x * y == _whole_word_product(x, y)
+    assert pres.normal_form([("y", 1), ("x", 1)]) == (
+        pres.normal_form([("x", 1), ("y", 1)])
+        + pres.normal_form([("a", 1), ("d", 1), ("x", 1), ("y", 1)])
+        + pres.normal_form([("a", 1), ("d", 1)]) + 1)
+
+
 def test_long_exponent_misses_need_no_recursion():
     # a chain of 3000 misses (c^i * b for every i), far past the recursion
     # limit; c^n b = b c^n - (q - q^-1) [n] delta alpha c^(n-1)

@@ -34,17 +34,19 @@ and, on a miss, stores the row m1 times the blocks of m2, which each later
 product scales by its coefficient.  A pair that shares an odd letter is
 stored as zero at once.  A block g^e moves left past each last block h^f of
 a row by a swap, h^f * g^e = lam^|f*e| * g^e * h^f, wherever the exchange
-rule has no correction that survives there (see below).  The swap cache
-holds one entry per rule, with lam = c * q^k as the pair (c, k) of a
-rational c and an integer k where lam has that form, so a run of swaps
-adds exponents and scales the row once.  At any other block pair, the
-one-block pair h^f * g^e, itself a pair-table entry, takes the place of both
-blocks.  So a product recurses only where a correction splits a row, as deep
-as its monomials have blocks, never as deep as an exponent.
+rule has no correction that survives there (see below).  The swap table
+is built with the presentation and holds one entry per rule: lam = c * q^k
+as the pair (c, k) of a rational c and an integer k where lam has that
+form, so a run of swaps adds exponents and scales the row once, and each
+correction word as its blocks and its odd mask.  No product adds an entry.
+At any other block pair, the one-block pair h^f * g^e, itself a pair-table
+entry, takes the place of both blocks.  So a product recurses only where a
+correction splits a row, as deep as its monomials have blocks, never as
+deep as an exponent.
 
-A one-block pair is filled from the rules.  With s the sign of f, x = g^±1
-and the exchange rule h^s * x = lam * x * h^s + sum mu * u, the entries
-R_j = h^(j*s) * x follow one from the other:
+A one-block pair is filled from the rule's swap entry.  With s the sign of
+f, x = g^±1 and the exchange rule h^s * x = lam * x * h^s + sum mu * u, the
+entries R_j = h^(j*s) * x follow one from the other:
 
     R_j = lam * R_(j-1) * h^s + sum mu * h^((j-1)*s) * u,    R_0 = x,
 
@@ -67,7 +69,7 @@ shares an odd letter with the rest of its row vanishes.
 The same fact ends the chains of derived rules.  The rule for c^-1 * b^-1
 in the dual algebra has the correction b^-1 c^-1 delta alpha c^-1 b^-1,
 which asks for c^-2 * b^-1 again, behind the odd prefix alpha delta.  The
-swap cache holds the odd mask of each correction word that repeats no odd
+swap table holds the odd mask of each correction word that repeats no odd
 letter, and at a row p * h^f * s the block loop compares them with the odd
 mask of p, of s and of the letters around the row.  Where every correction
 shares one of those letters, as delta alpha does with any odd letter of
@@ -89,9 +91,9 @@ confluent, ``normal_form`` may differ from leftmost rewriting, which stays
 in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
 oracle.
 
-Elements are immutable.  The table and two caches are the only shared
-mutable state: threads may share elements and presentations, and concurrent
-misses in any of them only compute identical entries twice.
+Elements are immutable.  The pair table and the sort-key cache are the
+only shared mutable state: threads may share elements and presentations,
+and concurrent misses in either only compute identical entries twice.
 """
 
 import random
@@ -234,6 +236,9 @@ class Presentation:
         # authored plain-letter rules gain the inverse-letter rules they imply
         self._validate()
         self._rules.update(_inverse_rules(self._rules, self.generators))
+        # one swap entry per rule key, built with the rules (see _swap)
+        self._swaps = {key: _swap(self, lam, corr)
+                       for key, (lam, corr) in self._rules.items()}
         self._one = Element(self, (((), ONE),))
         self._zero = Element(self, ())
         # (normal-form monomial, normal-form monomial) -> their product's
@@ -241,9 +246,7 @@ class Presentation:
         # Element.__mul__ and, for one-block pairs, by _block_pair, whose
         # keys carry a nonzero odd mask as a third item
         self._pair_table = {}
-        # one swap entry per rule key, filled on first use (see _swap), and
         # per monomial its sort key and odd mask (see _sort_key)
-        self._swaps = {}
         self._keys = {}
 
     # -- validation -------------------------------------------------------
@@ -698,11 +701,20 @@ def _odd_mask(pres, m):
     return sum(1 << g for g, _ in m if pres._parities[g])
 
 
-def _factor(c, k):
-    # the scalar c * q^k of a swap run, which the caller has found is not one
-    if c.__class__ is QRational:
-        return c * _qmono(1, k) if k else c
-    return _qmono(c, k)
+def _swap(pres, lam, corr):
+    # the swap entry of a rule: its factor lam = c * q^k as (c, k), with c an
+    # int or a Fraction, or as (lam, 0) where lam is no Laurent monomial;
+    # each correction that repeats no odd letter as (mu, blocks, odd mask);
+    # and the union of those masks
+    terms = tuple((mu, _word_blocks(u), _odd_mask(pres, u)) for mu, u in corr
+                  if not _has_repeated_odd(pres, u))
+    cmask = 0
+    for _, _, mk in terms:
+        cmask |= mk
+    if len(lam.num) == len(lam.den) == 1:
+        (k, c), = lam.num
+        return c, k - lam.den[0][0], terms, cmask
+    return lam, 0, terms, cmask
 
 
 def _swap_run(pres, t, g, e, mask):
@@ -710,40 +722,39 @@ def _swap_run(pres, t, g, e, mask):
     monomial t by swaps, and at what factor.
 
     g^e passes a block h^f (h > g) at lam^|f*e| of the rule for h^±1 * g^±1
-    as long as every correction of the rule shares an odd letter with
-    pmask: the bits of mask and the odd letters of the rest of t, on both
-    sides of h^f.  Returns (i, c, k, pmask): g^e has passed t[i:] at the
-    factor c * q^k, where c is an int or a Fraction, or a QRational once a
-    rule's factor is no Laurent monomial; pmask is None where g^e reached its
+    as long as every correction in the rule's swap entry shares an odd
+    letter with the bits of mask and the odd letters of the rest of t, on
+    both sides of h^f.  Returns (i, factor, pmask): g^e has passed t[i:] at
+    factor, a scalar (a QRational once a rule's factor is no Laurent
+    monomial), or None where it is 1; pmask is None where g^e reached its
     place, and otherwise the odd mask under which the one-block pair
     t[i-1] * g^e is asked for, less the bits that no correction of its rule
     holds.
     """
     swaps = pres._swaps
     sg = 1 if e > 0 else -1
-    c, k, odd = 1, 0, None
+    c, k, odd, pmask = 1, 0, None, None
     i = len(t)
     while i:
         h, f = t[i - 1]
         if h <= g:
             break
-        rule = (h, 1 if f > 0 else -1, g, sg)
-        sw = swaps.get(rule)
-        if sw is None:
-            sw = swaps[rule] = _swap(pres, rule)
-        lc, lk, masks, cmask = sw
-        if masks:
+        lc, lk, terms, cmask = swaps[h, 1 if f > 0 else -1, g, sg]
+        if terms:
             if odd is None:
                 odd = pres._odd(t)
-            pmask = mask | (odd & ~(1 << h))
-            if not all(mk & pmask for mk in masks):
-                return i, c, k, pmask & cmask
+            pm = mask | (odd & ~(1 << h))
+            if not all(mk & pm for _, _, mk in terms):
+                pmask = pm & cmask
+                break
         n = abs(f * e)
         if lc != 1:
             c *= lc ** n
         k += lk * n
         i -= 1
-    return i, c, k, None
+    if c.__class__ is QRational:
+        return i, c * _qmono(1, k) if k else c, pmask
+    return i, _qmono(c, k) if k or c != 1 else None, pmask
 
 
 def _blocks(pres, rows, blocks, mask=0, fill=None):
@@ -757,7 +768,8 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
     it stops at a block h^f, with t = p * h^f * s, t * g^e is the sum of
     k * p*u*s over the row (u, k) of the one-block pair h^f * g^e under the
     mask the run returns, where p*u*s is p times the blocks of u and then of
-    s, again by this loop; fill guards the fill that asks, if any.
+    s, again by this loop; fill guards the fill that asks, if any.  Every
+    swap entry is built with the presentation, so no product adds one.
     """
     for blk in blocks:
         g, e = blk
@@ -765,9 +777,8 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
         for t, k in rows:
             i = len(t)
             if i and t[-1][0] > g:
-                i, c, n, pmask = _swap_run(pres, t, g, e, mask)
-                if c != 1 or n:
-                    f = _factor(c, n)
+                i, f, pmask = _swap_run(pres, t, g, e, mask)
+                if f is not None:
                     k = f if k is ONE else k * f
                 if pmask is not None:
                     p, s = t[:i - 1], t[i:]
@@ -789,36 +800,23 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
     return [(mo, ko) for mo, ko in rows if ko]
 
 
-def _swap(pres, rule):
-    # the swap entry of a rule key: its factor lam = c * q^k as (c, k), with
-    # c an int or a Fraction, or as (lam, 0) where lam is no Laurent
-    # monomial; the odd masks of the rule's corrections that repeat no odd
-    # letter, and their union
-    lam, corr = pres._rules[rule]
-    masks = tuple(_odd_mask(pres, u) for _, u in corr
-                  if not _has_repeated_odd(pres, u))
-    cmask = 0
-    for mk in masks:
-        cmask |= mk
-    if len(lam.num) == len(lam.den) == 1:
-        (k, c), = lam.num
-        return c, k - lam.den[0][0], masks, cmask
-    return lam, 0, masks, cmask
-
-
 def _block_pair(pres, p, hf, blk, mask, fill):
     """The rows of h^f * g^e, a pair-table entry, less the words that share
     an odd letter with mask.
 
     The block loop asks for it at a row p * h^f * s.  On a miss the entries
-    R_j = h^(j*s) * g^±1 are filled from the rule for h^s * g^±1, as the
-    module docstring says, and stored for every j up to |f|; the block loop
-    multiplies R_|f| by g^±1 once per further letter.  fill, the open
-    entries and the step count of the fill that asks, guards every fill
-    this one asks for in turn.
+    R_j = h^(j*s) * g^±1 are filled as the module docstring says, from the
+    swap entry of the rule for h^s * g^±1: its factor, and the blocks of
+    each correction whose odd mask misses mask.  Every R_j up to |f| is
+    stored; the block loop multiplies R_|f| by g^±1 once per further
+    letter.  fill, the open entries and the step count of the fill that
+    asks, guards every fill this one asks for in turn.
     """
     table = pres._pair_table
-    key = ((hf,), (blk,), mask) if mask else ((hf,), (blk,))
+    # every key, of this pair and of each R_j, is (h^f, g^e) as two
+    # monomials, with a nonzero mask as a third item
+    tail = (mask,) if mask else ()
+    key = ((hf,), (blk,)) + tail
     row = table.get(key)
     if row is not None:
         return row
@@ -826,26 +824,21 @@ def _block_pair(pres, p, hf, blk, mask, fill):
     g, e = blk
     s = 1 if f > 0 else -1
     x = (g, 1 if e > 0 else -1)
-
-    def entry(j):
-        return ((((h, j * s),), (x,), mask) if mask
-                else (((h, j * s),), (x,)))
-
     # the largest j whose entry the table holds
     n = abs(f)
-    while n and entry(n) not in table:
+    while n and (((h, n * s),), (x,)) + tail not in table:
         n -= 1
-    rows = table[entry(n)] if n else (((x,), ONE),)
+    rows = table[(((h, n * s),), (x,)) + tail] if n else (((x,), ONE),)
     if fill is None:
         fill = [set(), 0]  # the open entries and the steps taken
     pair = ((h, s), x)
-    lam, corr = pres._rule(h, s, g, x[1])
-    # a correction word that repeats an odd letter, or shares one with
-    # mask, is zero
-    terms = [(mu, _word_blocks(u)) for mu, u in corr
-             if not (_has_repeated_odd(pres, u) or mask & _odd_mask(pres, u))]
+    lc, lk, terms, _ = pres._swaps[h, s, g, x[1]]
+    lam = (lc if lc.__class__ is QRational
+           else ONE if lc == 1 and not lk else _qmono(lc, lk))
+    # a correction word that shares an odd letter with mask is zero
+    terms = [(mu, u) for mu, u, mk in terms if not mask & mk]
     for j in range(n + 1, abs(f) + 1):
-        k = entry(j)
+        k = (((h, j * s),), (x,)) + tail
         if k in fill[0]:
             raise RewriteLimitError(
                 f"rewriting in {pres.name!r} does not terminate: the rule "

@@ -582,9 +582,15 @@ class QRational:
 
     def inv(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self.num:
+        num = self.num
+        if not num:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        return QRational._make(self.den, self.num)
+        # den/num is reduced already: dividing out num's leading
+        # coefficient makes it canonical, with no gcd
+        lc = num[-1][1]
+        if lc == 1:
+            return QRational(self.den, num)
+        return QRational(_pdivc(self.den, lc), _pdivc(num, lc))
 
     def __truediv__(self, other):
         other = _coerce(other)

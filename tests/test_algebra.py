@@ -207,6 +207,24 @@ def test_scalar_coercion_and_powers():
     assert b ** -2 == DUAL.gen("b", -2)
     assert b ** 3 == DUAL.normal_form([("b", 3)])
     assert (Q * b) * DUAL.gen("b", -1) == DUAL.scalar(Q)
+    assert 3 - b == DUAL.scalar(3) - b
+
+
+def test_inexact_scalars_and_unknown_styles_are_refused():
+    word = [("b", 1)]
+    for call, message in (
+        (lambda: DUAL.scalar(1.5), "scalar expects an int, Fraction or QRational"),
+        (lambda: DUAL.normal_form(word, 1.5),
+         "coefficient must be an int, Fraction or QRational"),
+        (lambda: DUAL.brute_force_nf(word, 7, 1.5),
+         "coefficient must be an int, Fraction or QRational"),
+    ):
+        with pytest.raises(TypeError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        render_element(DUAL.gen("b"), "html")
+    assert str(info.value) == "unknown render style 'html'"
 
 
 def test_parity_grading():
@@ -576,8 +594,7 @@ def test_pair_that_shares_an_odd_letter_is_stored_as_zero(monkeypatch):
 
 
 def test_correction_that_vanishes_behind_odd_letters_is_a_swap(monkeypatch):
-    for cache in ("_pair_table", "_swaps"):
-        monkeypatch.setattr(DUAL, cache, {})
+    monkeypatch.setattr(DUAL, "_pair_table", {})
     # c * b^-1 = b^-1 * c + (a word holding delta alpha), which vanishes
     # behind alpha: the block loop swaps and fills no pair entry
     word = [("alpha", 1), ("c", 1), ("b", -1)]
@@ -592,7 +609,7 @@ def test_cold_suite_fills_a_bounded_table(monkeypatch):
     # share an odd letter and swaps behind odd letters fill nothing more
     from qdual.checks import run_suite
     for pres in (DUAL, GL):
-        for cache in ("_pair_table", "_swaps", "_keys"):
+        for cache in ("_pair_table", "_keys"):
             monkeypatch.setattr(pres, cache, {})
     run_suite(6)
     assert len(DUAL._pair_table) <= 606
@@ -603,8 +620,30 @@ def test_cold_suite_fills_a_bounded_table(monkeypatch):
         assert len(pres._swaps) <= len(pres._rules)
 
 
+def test_swap_table_is_built_with_the_presentation(monkeypatch):
+    # one entry per rule before any product, and a read-only table holds
+    # through a cold suite: no product adds or replaces an entry
+    from types import MappingProxyType
+    from qdual.checks import run_suite
+    from qdual.presentations import _authored
+    builtins = [cli._algebra_by_name(name) for name in cli._BUILTIN_ALGEBRAS]
+    fresh = [Presentation(pres.name, pres.generators, dict(_authored(pres)))
+             for pres in builtins]
+    fresh.append(load_presentation(SPLIT, name="split swaps"))
+    for pres in fresh:
+        assert not pres._pair_table
+        assert pres._swaps.keys() == pres._rules.keys(), pres.name
+    before = [dict(pres._swaps) for pres in builtins]
+    for pres, swaps in zip(builtins, before):
+        for cache in ("_pair_table", "_keys"):
+            monkeypatch.setattr(pres, cache, {})
+        monkeypatch.setattr(pres, "_swaps", MappingProxyType(dict(swaps)))
+    run_suite(6)
+    assert [pres._swaps for pres in builtins] == before
+
+
 def test_long_swap_chain_keeps_one_entry_per_rule(monkeypatch):
-    for cache in ("_pair_table", "_swaps", "_keys"):
+    for cache in ("_pair_table", "_keys"):
         monkeypatch.setattr(DUAL, cache, {})
     DUAL.normal_form([("c", 3000), ("b", 1)])
     assert len(DUAL._swaps) <= len(DUAL._rules)
@@ -628,7 +667,7 @@ def test_masked_entries_carry_only_correction_bits(monkeypatch):
              (load_presentation(SPLIT, name="split"),
               [("a", 1), ("y", 3), ("x", 2)]))
     for pres, word in cases:
-        for cache in ("_pair_table", "_swaps", "_keys"):
+        for cache in ("_pair_table", "_keys"):
             monkeypatch.setattr(pres, cache, {})
         assert pres.normal_form(word) == _whole_word_nf(pres, word)
         masked = [key for key in pres._pair_table if len(key) == 3]
@@ -697,7 +736,7 @@ def test_block_products_match_whole_word_rewriting_fuzz(monkeypatch):
         load_presentation(POWER, name="power"),
     ]
     for pres in presentations:
-        for cache in ("_pair_table", "_swaps", "_keys"):
+        for cache in ("_pair_table", "_keys"):
             monkeypatch.setattr(pres, cache, {})
         paths = {"swaps": 0, "one-block pair": 0}
         for _ in range(120):
@@ -1007,6 +1046,25 @@ def test_rejects_missing_rule():
     gens = _gens(("u", EVEN, False), ("v", EVEN, False))
     with pytest.raises(PresentationError):
         Presentation("bad", gens, {})
+
+
+@pytest.mark.parametrize("key, corr, message", [
+    ((5, 1, 0, 1), (), "rule references unknown generator"),
+    ((1, -1, 0, 1), (), "hand-written rules must relate plain letters; "
+     "inverse-letter rules are derived, not authored"),
+    ((1, 1, 0, 1), ((ONE - ONE, ()),),
+     "zero or non-scalar correction coefficient"),
+    ((1, 1, 0, 1), ((2, ()),), "zero or non-scalar correction coefficient"),
+    ((1, 1, 0, 1), ((ONE, ((7, 1),)),),
+     "correction references unknown generator"),
+    ((1, 1, 0, 1), ((ONE, ((0, 2),)),), "bad letter sign in correction"),
+    ((1, 1, 0, 1), ((ONE, ((0, -1),)),), "correction inverts non-invertible 'u'"),
+])
+def test_rejects_malformed_rule(key, corr, message):
+    gens = _gens(("u", EVEN, False), ("v", EVEN, True))
+    with pytest.raises(PresentationError) as info:
+        Presentation("bad", gens, {key: (Q, corr)})
+    assert str(info.value) == message
 
 
 def test_rejects_rule_keyed_in_wrong_order():

@@ -289,6 +289,7 @@ rule u*phi = phi*u
     ("generator u even\ngenerator v even\nrule v*u q*u*v\n", "rule needs '='"),
     ("generator u even maybe\n", "unknown flag"),
     ("generator u sideways\n", "expected 'generator"),
+    ("generator b even invertible extra\n", "line 1: too many fields"),
     ("generator theta odd invertible\n", "cannot be invertible"),
     ("rule v*u = q*u*v\n", "declares no generators"),
     ("generator u even\ngenerator v even\nrule w*u = q*u*w\n",

@@ -106,6 +106,15 @@ def test_qnum_values():
     assert qnum(3, 2).eval_at(2) == 1 + 16 + 256
 
 
+def test_qnum_guards():
+    with pytest.raises(ValueError) as info:
+        qnum(-1)
+    assert str(info.value) == "qnum requires n >= 0"
+    with pytest.raises(ValueError) as info:
+        qnum(1, 0)
+    assert str(info.value) == "qnum requires k >= 1"
+
+
 def test_qnum_recurrence():
     # [n] = 1 + q^2 [n-1], and the base-q^(2k) analogue for k = 2, 3
     for k in (1, 2, 3):
@@ -396,6 +405,29 @@ def test_fast_paths_match_the_general_path_fuzz():
         if b:
             inverse = QRational._make(b.den, b.num)
             assert _structure(a / b) == _structure(_general_mul(a, inverse))
+
+
+def test_inverse_matches_the_gcd_reduction_fuzz():
+    # den/num with num's leading coefficient divided out, against _make:
+    # Fraction and int coefficients, factors of q above and below, and
+    # quotients of powers
+    rng = random.Random(70024)
+    pool = _fast_path_pool(rng)
+    for _ in range(600):
+        num = _random_poly(rng, 8, rng.randint(1, 6))
+        den = _random_poly(rng, 6, rng.randint(1, 4))
+        i, j = rng.randint(0, 4), rng.randint(0, 4)
+        c = rng.choice(_COEFFS)
+        pool.append(c * QRational._make(
+            tuple((k + i, v) for k, v in num), tuple((k + j, v) for k, v in den)
+        ))
+    pool += [(Q**3 + 2 * Q + 1) ** 30 / (Q**2 + 3) ** 40,
+             Fraction(-2, 3) * (Q + 2) / (Q**2 + 1) * q_power(-5)]
+    for x in pool:
+        if x:
+            want = QRational._make(x.den, x.num)
+            assert _structure(x.inv()) == _structure(want)
+            assert x.inv() * x == ONE
 
 
 def test_polynomial_kernels_match_the_dict_algorithms():

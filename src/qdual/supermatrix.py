@@ -237,21 +237,13 @@ def closed_form_odd(pres, n):
         C = (cb + q[n-1]'*delta*alpha) * (cb)^(n-2) * c
         D = ([n]*delta + q[n-1]*alpha) * (cb)^(n-1)
 
-    At n = 1 the (bc)^(n-2) factor needs (bc)^-1.
+    At n = 1 the (bc)^(n-2) factor needs (bc)^-1.  The powers come from
+    :func:`odd_closed_forms` started at n: bc and cb are raised to n-2 once,
+    and one more product each gives the (n-1)-th powers.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("closed_form_odd expects an integer n >= 1")
-    al, de, b, c = (pres.gen(x) for x in ("alpha", "delta", "b", "c"))
-    bc = b * c
-    cb = c * b
-    qn, qn1, qn1_2 = qnum(n), qnum(n - 1), qnum(n - 1, 2)
-    return SuperMatrix(
-        (qn * al + (Q * qn1) * de) * bc ** (n - 1),
-        (bc + (Q * qn1_2) * (al * de)) * bc ** (n - 2) * b,
-        (cb + (Q * qn1_2) * (de * al)) * cb ** (n - 2) * c,
-        (qn * de + (Q * qn1) * al) * cb ** (n - 1),
-        fmt="dual",
-    )
+    return next(odd_closed_forms(pres, n, start=n))
 
 
 def closed_form_even(pres, n):
@@ -267,21 +259,61 @@ def closed_form_even(pres, n):
     The constant part of D is cb, not bc: the antidiagonal swap
     (alpha <-> delta, b <-> c) is an automorphism of the entry relations
     exchanging A with D, and direct expansion of the fourth power confirms
-    the cb form.
+    the cb form.  The powers come from :func:`even_closed_forms` started at
+    n: bc and cb are raised to n-1 once each.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("closed_form_even expects an integer n >= 1")
+    return next(even_closed_forms(pres, n, start=n))
+
+
+def _dual_letters(pres):
+    """alpha, delta, b, c and the products bc, cb, alpha*delta, delta*alpha."""
     al, de, b, c = (pres.gen(x) for x in ("alpha", "delta", "b", "c"))
-    bc = b * c
-    cb = c * b
-    kappa = Q * (ONE - Q * Q) * (ONE + Q * Q).inv() * qnum(n) * qnum(n - 1)
-    return SuperMatrix(
-        (bc + kappa * (al * de)) * bc ** (n - 1),
-        qnum(n) * ((al + Q * de) * b) * cb ** (n - 1),
-        qnum(n) * ((de + Q * al) * c) * bc ** (n - 1),
-        (cb + kappa * (de * al)) * cb ** (n - 1),
-        fmt="gl",
-    )
+    return al, de, b, c, b * c, c * b, al * de, de * al
+
+
+def odd_closed_forms(pres, max_n, start=1):
+    """closed_form_odd(pres, n) for n = start..max_n, in order of n.
+
+    (bc)^(n-2) and (cb)^(n-2) are raised once, at n = start, and then
+    carried: each step takes one product per power, and the (n-1)-th
+    powers of one n are the (n-2)-th powers of the next.
+    """
+    al, de, b, c, bc, cb, ad, da = _dual_letters(pres)
+    bc0, cb0 = bc ** (start - 2), cb ** (start - 2)
+    for n in range(start, max_n + 1):
+        bc1, cb1 = (bc0 * bc, cb0 * cb) if n > 1 else (pres.one(),) * 2
+        qn, qn1, qn1_2 = qnum(n), qnum(n - 1), qnum(n - 1, 2)
+        yield SuperMatrix(
+            (qn * al + (Q * qn1) * de) * bc1,
+            (bc + (Q * qn1_2) * ad) * bc0 * b,
+            (cb + (Q * qn1_2) * da) * cb0 * c,
+            (qn * de + (Q * qn1) * al) * cb1,
+            fmt="dual",
+        )
+        bc0, cb0 = bc1, cb1
+
+
+def even_closed_forms(pres, max_n, start=1):
+    """closed_form_even(pres, n) for n = start..max_n, in order of n.
+
+    (bc)^(n-1) and (cb)^(n-1) are raised once, at n = start, and then
+    carried: each step takes one product per power.
+    """
+    al, de, b, c, bc, cb, ad, da = _dual_letters(pres)
+    bc1, cb1 = bc ** (start - 1), cb ** (start - 1)
+    for n in range(start, max_n + 1):
+        if n > start:
+            bc1, cb1 = bc1 * bc, cb1 * cb
+        kappa = Q * (ONE - Q * Q) * (ONE + Q * Q).inv() * qnum(n) * qnum(n - 1)
+        yield SuperMatrix(
+            (bc + kappa * ad) * bc1,
+            qnum(n) * ((al + Q * de) * b) * cb1,
+            qnum(n) * ((de + Q * al) * c) * bc1,
+            (cb + kappa * da) * cb1,
+            fmt="gl",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +398,16 @@ def check_gl_pattern(mat, p):
     B^2 = C^2 = 0, and A*D - D*A = (p - p^-1)*C*B.
     """
     a, b, c, d = mat.entries
+    cb = c * b
     return _outcome(
         ("A*B = p*B*A", a * b - p * (b * a)),
         ("A*C = p*C*A", a * c - p * (c * a)),
         ("D*B = p*B*D", d * b - p * (b * d)),
         ("D*C = p*C*D", d * c - p * (c * d)),
-        ("B*C + C*B = 0", b * c + c * b),
+        ("B*C + C*B = 0", b * c + cb),
         ("B*B = 0", b * b),
         ("C*C = 0", c * c),
-        ("A*D - D*A = (p - p^-1)*C*B", a * d - d * a - (p - p.inv()) * (c * b)),
+        ("A*D - D*A = (p - p^-1)*C*B", a * d - d * a - (p - p.inv()) * cb),
     )
 
 

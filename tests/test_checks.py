@@ -5,6 +5,8 @@ import json
 import pytest
 
 from qdual import checks
+from qdual import supermatrix as sm
+from qdual.algebra import Presentation
 from qdual.checks import (
     CHECK_IDS,
     CheckReport,
@@ -13,6 +15,9 @@ from qdual.checks import (
     run_suite,
     text_lines,
 )
+from qdual.qfield import Q
+
+from helpers import count_products, scaled_by_q
 
 # Computed once; several tests below slice into the same run.
 REPORTS = run_suite(max_n=2)
@@ -103,3 +108,72 @@ def test_report_invariants():
         CheckReport("C01", "x", {}, "maybe")
     bad = CheckReport("C01", "x", {}, "fail", witness="residual was nonzero")
     assert has_failure([bad])
+
+
+def test_closed_form_sweeps_take_linearly_many_products(monkeypatch):
+    # the powers of bc and cb are carried from one n to the next, so the
+    # products grow about linearly in n; a power chain per n grows
+    # quadratically and passes 4.5 times at four times the n
+    counts = {
+        n: count_products(
+            monkeypatch, lambda: run_suite(n, selection=["C08", "C09"])
+        )
+        for n in (12, 48)
+    }
+    assert counts[48] <= 4.5 * counts[12], counts
+
+
+# -- the witnesses of failing checks ------------------------------------------
+
+def _only(check_id):
+    (report,) = run_suite(max_n=3, selection=[check_id])
+    return report.status, report.parameters, report.witness
+
+
+def test_even_closed_form_off_by_q_fails_c09(monkeypatch):
+    monkeypatch.setattr(
+        sm, "even_closed_forms", scaled_by_q(sm.even_closed_forms)
+    )
+    assert _only("C09") == (
+        "fail", {"max_n": 3}, "n=1.e11: residual -(q - 1)*b*c (+11 more)"
+    )
+
+
+def test_product_off_the_gl_pattern_fails_c12(monkeypatch):
+    monkeypatch.setattr(
+        sm, "check_gl_pattern",
+        lambda mat, p, check=sm.check_gl_pattern: check(mat, p * Q),
+    )
+    assert _only("C12") == (
+        "fail",
+        {},
+        "product should satisfy the gl pattern at q: A*B = p*B*A: residual "
+        "-(q^2 - q)*b^2*delta2*c2 - (q^2 - q)*alpha*b*b2*c2 "
+        "- (q^3 - q^2)*alpha*b*alpha2*delta2",
+    )
+
+
+def test_product_on_the_dual_pattern_fails_c12(monkeypatch):
+    monkeypatch.setattr(
+        sm, "check_dual_pattern", lambda mat, p: sm.CheckOutcome(True)
+    )
+    assert _only("C12") == (
+        "fail", {}, "product unexpectedly satisfies the dual pattern at q"
+    )
+
+
+def test_disagreeing_randomized_order_fails_c16(monkeypatch):
+    # the randomized side rewrites the reversed word, so the odd letters
+    # alpha and delta trade places and the sign flips
+    brute = Presentation.brute_force_nf
+    monkeypatch.setattr(
+        Presentation, "brute_force_nf",
+        lambda self, word, seed: brute(self, word[::-1], seed),
+    )
+    word = [(0, 1), (2, 2), (3, 2), (3, 2), (1, 1)]
+    assert _only("C16") == (
+        "fail",
+        {"algebra": "dual", "word": word},
+        f"word {word!r} in 'dual': deterministic q^6*alpha*delta*b^2*c^4 "
+        "vs randomized -q^6*alpha*delta*b^2*c^4",
+    )

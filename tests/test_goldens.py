@@ -33,6 +33,8 @@ from qdual.presentations import (
 )
 from qdual.qfield import Q
 
+from helpers import scaled_by_q
+
 DATA = Path(__file__).parent / "data"
 RENDER_GOLDEN = DATA / "render_golden.jsonl"
 WITNESS_GOLDEN = DATA / "witness_golden.jsonl"
@@ -113,13 +115,6 @@ def render_lines():
     ]
 
 
-def _scaled_by_q(closed_form):
-    def wrong(pres, n):
-        return sm.SuperMatrix(*(Q * x for x in closed_form(pres, n).entries))
-
-    return wrong
-
-
 def _swapped_targets(transform_plane):
     swap = {"plane": "dual_plane", "dual_plane": "plane"}
 
@@ -131,8 +126,9 @@ def _swapped_targets(transform_plane):
 
 FAULTS = {
     "_QINV = q": lambda mp: mp.setattr(checks, "_QINV", Q),
+    # C08 reads its closed forms from the sweep, not from closed_form_odd
     "closed_form_odd times q": lambda mp: mp.setattr(
-        sm, "closed_form_odd", _scaled_by_q(sm.closed_form_odd)
+        sm, "odd_closed_forms", scaled_by_q(sm.odd_closed_forms)
     ),
     "q_power shifted by one": lambda mp: mp.setattr(
         checks, "q_power", lambda k, f=checks.q_power: f(k + 1)

@@ -24,15 +24,19 @@ from qdual.supermatrix import (
     delta1,
     delta2,
     dual_generator_matrix,
+    even_closed_forms,
     gl_generator_matrix,
     identity,
     inverse_via_decomposition,
     left_inverse,
     matmul,
+    odd_closed_forms,
     power,
     sdet,
     transform_plane,
 )
+
+from helpers import count_products
 
 DUAL = dual_algebra()
 GL = gl_algebra()
@@ -162,6 +166,22 @@ def test_powers_match_closed_forms():
     for n in (1, 2, 3):
         assert MAT ** (2 * n - 1) == closed_form_odd(DUAL, n)
         assert MAT ** (2 * n) == closed_form_even(DUAL, n)
+
+
+def test_sweeps_match_single_closed_forms():
+    assert list(odd_closed_forms(DUAL, 4)) == [
+        closed_form_odd(DUAL, n) for n in range(1, 5)
+    ]
+    assert list(even_closed_forms(DUAL, 4)) == [
+        closed_form_even(DUAL, n) for n in range(1, 5)
+    ]
+
+
+@pytest.mark.parametrize("closed_form", [closed_form_odd, closed_form_even])
+def test_one_closed_form_raises_each_power_once(monkeypatch, closed_form):
+    # two chains of about n products, not the forms of every smaller n
+    n = 40
+    assert count_products(monkeypatch, lambda: closed_form(DUAL, n)) <= 3 * n
 
 
 def test_closed_form_guards():

@@ -87,8 +87,9 @@ Multiplying block by block gives the normal form that whole-word rewriting
 gives only when the presentation is confluent, and :meth:`normal_form` and
 products assume it; check C16 compares it with random-order rewriting
 (:meth:`~Presentation.brute_force_nf`).  On a descriptor that is not
-confluent, ``normal_form`` may differ from leftmost rewriting, which stays
-in :func:`_reduce` as the engine of ``brute_force_nf`` and the tests'
+confluent, ``normal_form`` may differ from leftmost rewriting.  Whole-word
+rewriting stays in :func:`_reduce`, one loop for the leftmost and the
+seeded random order, as the engine of ``brute_force_nf`` and the tests'
 oracle.
 
 Elements are immutable.  The pair table and the sort-key cache are the
@@ -476,45 +477,33 @@ def _step_cap_error(pres, length, pair):
 def _reduce(pres, items, *, rng=None):
     """Rewrite (coefficient, word) pairs to a {monomial: coefficient} map.
 
-    Whole-word rewriting: the engine of :meth:`Presentation.brute_force_nf`
-    and the tests' oracle for the multiplication table.  With ``rng`` unset
-    the leftmost out-of-order pair is exchanged first; with it, each step
-    takes a random pending word (``rng.randrange``) and a random redex in it
-    (``rng.choice``).  A popped word that repeats an odd letter is dropped.
+    Whole-word rewriting in one loop: the engine of
+    :meth:`Presentation.brute_force_nf` and the tests' oracle for the
+    multiplication table.  Each step pops a pending word, drops it if it
+    repeats an odd letter, and exchanges one out-of-order pair in it.  Only
+    two choices depend on ``rng``: unset, the last pending word and its
+    leftmost redex; set, a random word (``rng.randrange``) and a random
+    redex in it (``rng.choice``).
     """
     acc = {}
     pending = list(items)
     steps = 0
     while pending:
-        if rng is None:
-            coeff, word = pending.pop()
-        else:
-            coeff, word = pending.pop(rng.randrange(len(pending)))
+        coeff, word = pending.pop(-1 if rng is None else rng.randrange(len(pending)))
         if not coeff or _has_repeated_odd(pres, word):
             continue
-        if rng is None:
-            t = None
-            for k in range(len(word) - 1):
-                if word[k][0] > word[k + 1][0]:
-                    t = k
-                    break
-        else:
-            redexes = [
-                k for k in range(len(word) - 1) if word[k][0] > word[k + 1][0]
-            ]
-            t = rng.choice(redexes) if redexes else None
-        if t is None:
+        redexes = [k for k in range(len(word) - 1) if word[k][0] > word[k + 1][0]]
+        if not redexes:
             # no odd letter repeats, so the monomial is nonzero
             m = _word_blocks(word)
             c0 = acc.get(m)
             acc[m] = coeff if c0 is None else c0 + coeff
             continue
+        t = redexes[0] if rng is None else rng.choice(redexes)
         steps += 1
         if steps > _STEP_CAP:
             raise _step_cap_error(pres, len(word), word[t : t + 2])
-        gj, sj = word[t]
-        gi, si = word[t + 1]
-        lam, corr = pres._rule(gj, sj, gi, si)
+        lam, corr = pres._rule(*word[t], *word[t + 1])
         head, tail = word[:t], word[t + 2 :]
         pending.append((
             coeff if lam is ONE else coeff * lam,

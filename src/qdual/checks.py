@@ -20,6 +20,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import supermatrix as sm
 from .algebra import invert_quasi_unit, render_element
@@ -62,7 +63,15 @@ class CheckReport:
 
 
 class _Context:
-    """Generator matrices and their powers, shared by the checks of one run."""
+    """What the checks of one run share, each built once.
+
+    The dual generator matrix M and the gl one are built at once, and the
+    checks read alpha, b, c and delta from M's entries.  Nothing else is
+    built before a check asks for it: the matrices' powers, the dual-pattern
+    outcomes (C10, C17), b^-1 and c^-1 (C02, C04, C06), both
+    superdeterminant forms (C04-C06) and the left inverse of M (C06, C07).
+    So a run of C08 alone builds no inverse.
+    """
 
     def __init__(self, max_n, seed):
         self.max_n = max_n
@@ -87,6 +96,21 @@ class _Context:
             )
         return self._patterns[n]
 
+    @cached_property
+    def inverse_letters(self):
+        p = self.mat.pres
+        return p.gen("b", -1), p.gen("c", -1)
+
+    @cached_property
+    def sdet_forms(self):
+        """The two superdeterminant forms b^2*delta1^-1 and c^2*delta2^-1."""
+        c = self.mat.e21
+        return sm.sdet(self.mat), c * c * invert_quasi_unit(sm.delta2(self.mat))
+
+    @cached_property
+    def left_inverse(self):
+        return sm.left_inverse(self.mat)
+
 
 def _entry_residuals(label, got, want):
     """(label.slot, residual) pairs for the four entries of got - want."""
@@ -99,17 +123,17 @@ def _entry_residuals(label, got, want):
 
 
 def _residual_check(pairs):
-    """pairs: (name, residual Element).  Returns (status, witness)."""
+    """pairs: (name, residual Element).  Returns (status, {}, witness)."""
     bad = [(name, r) for name, r in pairs if not r.is_zero]
     if not bad:
-        return "pass", ""
+        return "pass", {}, ""
     name, r = bad[0]
     more = f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""
-    return "fail", f"{name}: residual {render_element(r)}{more}"
+    return "fail", {}, f"{name}: residual {render_element(r)}{more}"
 
 
 def _outcome_check(outcomes):
-    """outcomes: (label, CheckOutcome).  Returns (status, witness).
+    """outcomes: (label, CheckOutcome).  Returns (status, {}, witness).
 
     Uses each outcome's own ``ok`` verdict: a dual-pattern outcome probes
     the bracket relation under both orderings and one probe is expected to
@@ -121,17 +145,17 @@ def _outcome_check(outcomes):
         rel = out.failures()[0]
         return (
             "fail",
+            {},
             f"{label}: {rel.name}: residual {render_element(rel.residual)}",
         )
-    return "pass", ""
+    return "pass", {}, ""
 
 
 # --- the individual checks -------------------------------------------------
 
 
 def _c01_dual_axioms(ctx):
-    p = dual_algebra()
-    al, de, b, c = (p.gen(x) for x in ("alpha", "delta", "b", "c"))
+    al, b, c, de = ctx.mat.entries
     pairs = [
         ("alpha*b = q^-1*b*alpha", al * b - _QINV * (b * al)),
         ("alpha*c = q^-1*c*alpha", al * c - _QINV * (c * al)),
@@ -145,14 +169,12 @@ def _c01_dual_axioms(ctx):
             b * c - c * b - _BRACKET * (de * al),
         ),
     ]
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c02_inverse_relations(ctx):
-    p = dual_algebra()
-    al, de, b, c = (p.gen(x) for x in ("alpha", "delta", "b", "c"))
-    bi, ci = p.gen("b", -1), p.gen("c", -1)
+    al, b, c, de = ctx.mat.entries
+    bi, ci = ctx.inverse_letters
     pairs = [
         ("alpha*b^-1 = q*b^-1*alpha", al * bi - Q * (bi * al)),
         ("alpha*c^-1 = q*c^-1*alpha", al * ci - Q * (ci * al)),
@@ -166,14 +188,11 @@ def _c02_inverse_relations(ctx):
             (b * ci - ci * b) - _BRACKET * (al * ci * ci * de),
         ),
     ]
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c03_delta_commutation(ctx):
-    p = dual_algebra()
-    al, de = p.gen("alpha"), p.gen("delta")
-    b, c = p.gen("b"), p.gen("c")
+    al, b, c, de = ctx.mat.entries
     d1, d2 = sm.delta1(ctx.mat), sm.delta2(ctx.mat)
     q2 = Q * Q
     pairs = [
@@ -184,60 +203,43 @@ def _c03_delta_commutation(ctx):
         ("delta2*alpha = q^2*alpha*delta2", d2 * al - q2 * (al * d2)),
         ("delta2*delta = q^2*delta*delta2", d2 * de - q2 * (de * d2)),
     ]
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c04_sdet_forms(ctx):
-    p = dual_algebra()
-    al, de = p.gen("alpha"), p.gen("delta")
-    b, c = p.gen("b"), p.gen("c")
-    bi, ci = p.gen("b", -1), p.gen("c", -1)
-    d1i = invert_quasi_unit(sm.delta1(ctx.mat))
-    d2i = invert_quasi_unit(sm.delta2(ctx.mat))
+    al, b, c, de = ctx.mat.entries
+    bi, ci = ctx.inverse_letters
+    s1, s2 = ctx.sdet_forms
     pairs = [
         (
             "b^2*delta1^-1 = b*c^-1 - alpha*c^-1*delta*c^-1",
-            b * b * d1i - (b * ci - al * ci * de * ci),
+            s1 - (b * ci - al * ci * de * ci),
         ),
         (
             "c^2*delta2^-1 = c*b^-1 - delta*b^-1*alpha*b^-1",
-            c * c * d2i - (c * bi - de * bi * al * bi),
+            s2 - (c * bi - de * bi * al * bi),
         ),
     ]
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c05_sdet_central(ctx):
-    p = dual_algebra()
-    s1 = sm.sdet(ctx.mat)
-    s2 = p.gen("c") * p.gen("c") * invert_quasi_unit(sm.delta2(ctx.mat))
+    al, b, c, de = ctx.mat.entries
     pairs = []
-    for label, s in (("b^2*delta1^-1", s1), ("c^2*delta2^-1", s2)):
-        for name in ("alpha", "delta", "b", "c"):
-            g = p.gen(name)
+    for label, s in zip(("b^2*delta1^-1", "c^2*delta2^-1"), ctx.sdet_forms):
+        for name, g in zip(("alpha", "delta", "b", "c"), (al, de, b, c)):
             pairs.append((f"{label} commutes with {name}", s * g - g * s))
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c06_left_inverse(ctx):
-    p = dual_algebra()
-    m = ctx.mat
-    left = sm.left_inverse(m)
-    ident = sm.identity(p)
-    al, de = p.gen("alpha"), p.gen("delta")
-    b, c = p.gen("b"), p.gen("c")
-    bi, ci = p.gen("b", -1), p.gen("c", -1)
-    d1i = invert_quasi_unit(sm.delta1(m))
-    d2i = invert_quasi_unit(sm.delta2(m))
-    factor_left = sm.SuperMatrix(
-        -(ci * de * ci), bi, ci, -(bi * al * bi)
-    )
-    factor_right = sm.SuperMatrix(
-        c * c * d2i, p.zero(), p.zero(), b * b * d1i
-    )
+    m, left = ctx.mat, ctx.left_inverse
+    al, b, c, de = m.entries
+    bi, ci = ctx.inverse_letters
+    s1, s2 = ctx.sdet_forms
+    factor_left = sm.SuperMatrix(-(ci * de * ci), bi, ci, -(bi * al * bi))
+    factor_right = sm.SuperMatrix(s2, 0, 0, s1)
+    ident = sm.identity(m.pres)
     pairs = []
     for label, got, want in (
         ("left_inverse(M)@M", sm.matmul(left, m), ident),
@@ -245,24 +247,19 @@ def _c06_left_inverse(ctx):
         ("factored form", sm.matmul(factor_left, factor_right), left),
     ):
         pairs += _entry_residuals(label, got, want)
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _c07_decomposition(ctx):
     m = ctx.mat
-    first, second = sm.decomposition_factors(m)
-    recon = sm.matmul(first, second)
     via = sm.inverse_via_decomposition(m)
-    left = sm.left_inverse(m)
     pairs = []
     for label, got, want in (
-        ("factor product", recon, m),
-        ("inverse_via_decomposition", via, left),
+        ("factor product", sm.matmul(*sm.decomposition_factors(m)), m),
+        ("inverse_via_decomposition", via, ctx.left_inverse),
     ):
         pairs += _entry_residuals(label, got, want)
-    status, witness = _residual_check(pairs)
-    return status, {}, witness
+    return _residual_check(pairs)
 
 
 def _power_sweep(ctx, closed_forms, offset):
@@ -275,7 +272,7 @@ def _power_sweep(ctx, closed_forms, offset):
     for n, want in enumerate(closed_forms(dual_algebra(), ctx.max_n), 1):
         got = ctx.power(ctx.mat, 2 * n - offset)
         pairs += _entry_residuals(f"n={n}", got, want)
-    status, witness = _residual_check(pairs)
+    status, _, witness = _residual_check(pairs)
     return status, {"max_n": ctx.max_n}, witness
 
 
@@ -287,22 +284,24 @@ def _c09_even_powers(ctx):
     return _power_sweep(ctx, sm.even_closed_forms, 0)
 
 
+def _pattern_sweep(ns, outcome, params):
+    """C10/C11/C13: the outcome of each n in ``ns``, labelled n=."""
+    status, _, witness = _outcome_check([(f"n={n}", outcome(n)) for n in ns])
+    return status, params, witness
+
+
 def _c10_odd_power_pattern(ctx):
-    outcomes = [(f"n={n}", ctx.dual_pattern(n)) for n in range(1, ctx.max_n + 1)]
-    status, witness = _outcome_check(outcomes)
-    return status, {"max_n": ctx.max_n}, witness
+    return _pattern_sweep(
+        range(1, ctx.max_n + 1), ctx.dual_pattern, {"max_n": ctx.max_n}
+    )
 
 
 def _c11_even_power_pattern(ctx):
-    outcomes = [
-        (
-            f"n={n}",
-            sm.check_gl_pattern(ctx.power(ctx.mat, 2 * n), q_power(2 * n)),
-        )
-        for n in range(1, ctx.max_n + 1)
-    ]
-    status, witness = _outcome_check(outcomes)
-    return status, {"max_n": ctx.max_n}, witness
+    return _pattern_sweep(
+        range(1, ctx.max_n + 1),
+        lambda n: sm.check_gl_pattern(ctx.power(ctx.mat, 2 * n), q_power(2 * n)),
+        {"max_n": ctx.max_n},
+    )
 
 
 def _c12_product_of_duals(ctx):
@@ -310,32 +309,19 @@ def _c12_product_of_duals(ctx):
     m1 = sm.dual_generator_matrix(pair)
     m2 = sm.dual_generator_matrix(pair, suffix="2")
     prod = sm.matmul(m1, m2)
-    gl_out = sm.check_gl_pattern(prod, Q)
-    dual_out = sm.check_dual_pattern(prod, Q)
-    if not gl_out.ok:
-        rel = gl_out.failures()[0]
-        return (
-            "fail",
-            {},
-            f"product should satisfy the gl pattern at q: {rel.name}: "
-            f"residual {render_element(rel.residual)}",
-        )
-    if dual_out.ok:
-        return (
-            "fail",
-            {},
-            "product unexpectedly satisfies the dual pattern at q",
-        )
-    return "pass", {}, ""
+    gl = sm.check_gl_pattern(prod, Q)
+    result = _outcome_check([("product should satisfy the gl pattern at q", gl)])
+    if result[0] == "pass" and sm.check_dual_pattern(prod, Q).ok:
+        return "fail", {}, "product unexpectedly satisfies the dual pattern at q"
+    return result
 
 
 def _c13_gl_power_parameter(ctx):
-    outcomes = [
-        (f"n={n}", sm.check_gl_pattern(ctx.power(ctx.gl_mat, n), q_power(n)))
-        for n in (2, 3, 4)
-    ]
-    status, witness = _outcome_check(outcomes)
-    return status, {"n": [2, 3, 4]}, witness
+    return _pattern_sweep(
+        (2, 3, 4),
+        lambda n: sm.check_gl_pattern(ctx.power(ctx.gl_mat, n), q_power(n)),
+        {"n": [2, 3, 4]},
+    )
 
 
 def _covariance(entries, generator_matrix, targets):
@@ -352,8 +338,7 @@ def _covariance(entries, generator_matrix, targets):
         mat = generator_matrix(t)
         v = tuple(t.gen(name) for name in coords)
         outcomes.append((label, sm.transform_plane(mat, v, target, Q)))
-    status, witness = _outcome_check(outcomes)
-    return status, {}, witness
+    return _outcome_check(outcomes)
 
 
 def _c14_covariance_gl(ctx):
@@ -469,7 +454,7 @@ CHECK_IDS = tuple(cid for cid, _, _ in _CHECKS)
 
 
 def run_suite(max_n=DEFAULT_MAX_N, selection=None, seed=DEFAULT_SEED):
-    """Run the registered checks and return reports sorted by check id.
+    """Run the registered checks and return their reports in id order.
 
     ``selection`` restricts to the given check ids; unknown ids raise
     ValueError, as does a max_n outside 1..MAX_N_LIMIT, before any algebra
@@ -497,7 +482,6 @@ def run_suite(max_n=DEFAULT_MAX_N, selection=None, seed=DEFAULT_SEED):
         reports.append(
             CheckReport(cid, ref, params, status, witness, elapsed)
         )
-    reports.sort(key=lambda r: r.check_id)
     return reports
 
 

@@ -699,7 +699,9 @@ def scalar(v):
 
 
 def q_power(k):
-    """q^k for any integer k (negative k gives 1/q^|k|)."""
+    """q^k for any integer k (negative k gives 1/q^|k|), else TypeError."""
+    if not isinstance(k, int):
+        raise TypeError(f"q_power expects an integer, got {type(k).__name__}")
     if k >= 0:
         return QRational(((k, 1),), _PONE)
     return QRational(_PONE, ((-k, 1),))

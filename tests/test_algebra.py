@@ -227,6 +227,16 @@ def test_inexact_scalars_and_unknown_styles_are_refused():
     assert str(info.value) == "unknown render style 'html'"
 
 
+def test_q_power_refuses_a_degree_that_is_not_an_integer():
+    # a float degree would give a polynomial that is not exact
+    for k in (1.5, 2.0, Fraction(3, 2)):
+        with pytest.raises(TypeError) as info:
+            q_power(k)
+        assert str(info.value) == (
+            f"q_power expects an integer, got {type(k).__name__}"
+        )
+
+
 def test_parity_grading():
     al, b = DUAL.gen("alpha"), DUAL.gen("b")
     assert al.parity() == ODD

@@ -15,6 +15,7 @@ from qdual.checks import (
     run_suite,
     text_lines,
 )
+from qdual.presentations import load_presentation
 from qdual.qfield import Q
 
 from helpers import count_products, scaled_by_q
@@ -123,6 +124,23 @@ def test_closed_form_sweeps_take_linearly_many_products(monkeypatch):
     assert counts[48] <= 4.5 * counts[12], counts
 
 
+def test_suite_builds_each_shared_object_once(monkeypatch):
+    # the inverses, both superdeterminant forms and the left inverse are
+    # built once per run: a check that rebuilds one adds products and
+    # inversions
+    inversions = []
+    invert = checks.invert_quasi_unit
+
+    def counted(x):
+        inversions.append(x)
+        return invert(x)
+
+    monkeypatch.setattr(checks, "invert_quasi_unit", counted)
+    monkeypatch.setattr(sm, "invert_quasi_unit", counted)
+    assert count_products(monkeypatch, lambda: run_suite(6)) <= 648
+    assert len(inversions) <= 8
+
+
 # -- the witnesses of failing checks ------------------------------------------
 
 def _only(check_id):
@@ -177,3 +195,56 @@ def test_disagreeing_randomized_order_fails_c16(monkeypatch):
         f"word {word!r} in 'dual': deterministic q^6*alpha*delta*b^2*c^4 "
         "vs randomized -q^6*alpha*delta*b^2*c^4",
     )
+
+
+# a dual algebra whose bracket relation has the wrong sign
+FLIPPED_DUAL = load_presentation(
+    """
+    generator alpha odd
+    generator delta odd
+    generator b even invertible
+    generator c even invertible
+    rule delta*alpha = -alpha*delta
+    rule b*alpha = q*alpha*b
+    rule b*delta = q*delta*b
+    rule c*alpha = q*alpha*c
+    rule c*delta = q*delta*c
+    rule c*b = b*c + (q - q^-1)*delta*alpha
+    """,
+    name="dual",
+)
+
+
+@pytest.mark.parametrize("max_n", [3, 6])
+def test_flipped_bracket_sign_fails_the_relation_checks(monkeypatch, max_n):
+    # the closed-form sweeps (C08, C09), the decomposition (C07), the gl
+    # checks (C13, C14) and confluence (C16) do not see the sign
+    monkeypatch.setattr(checks, "dual_algebra", lambda: FLIPPED_DUAL)
+    reports = run_suite(max_n)
+    assert [r.check_id for r in reports if r.status == "pass"] == [
+        "C07", "C08", "C09", "C13", "C14", "C16"
+    ]
+    assert {r.check_id: r.witness for r in reports if r.status == "fail"} == {
+        "C01": "b*c - c*b = (q - q^-1)*delta*alpha: residual "
+        "(2*q^2 - 2)/(q)*alpha*delta",
+        "C02": "b*c^-1 - c^-1*b = (q - q^-1)*alpha*c^-1*c^-1*delta: residual "
+        "-(2*q^2 - 2)/(q^3)*alpha*delta*c^-2",
+        "C03": "delta1*b = b*delta1: residual -(2*q^3 - 2*q)*alpha*delta*b "
+        "(+1 more)",
+        "C04": "b^2*delta1^-1 = b*c^-1 - alpha*c^-1*delta*c^-1: residual "
+        "-(2*q^2 - 2)/(q)*alpha*delta*c^-2 (+1 more)",
+        "C05": "b^2*delta1^-1 commutes with b: residual "
+        "(2*q^3 - 2*q)*alpha*delta*b*c^-2 (+3 more)",
+        "C06": "factored form.e12: residual "
+        "-(2*q^2 - 2)/(q^3)*alpha*delta*b^-1*c^-2 (+1 more)",
+        "C10": "n=2: B*C - C*B = (p - p^-1)*D*A: residual "
+        "(2*q^10 - 2*q^8 + 2*q^6 - 2*q^4 + 2*q^2 - 2)/(q)"
+        "*alpha*delta*b^2*c^2",
+        "C11": "n=1: A*D - D*A = (p - p^-1)*C*B: residual "
+        "-(2*q^6 - 2*q^4 - 2*q^2 + 2)/(q)*alpha*delta*b*c",
+        "C12": "product should satisfy the gl pattern at q: A*B = p*B*A: "
+        "residual -(2*q^2 - 2)*alpha*b*alpha2*delta2",
+        "C15": "plane coordinates -> dual-plane relations: w2*w1 = p*w1*w2: "
+        "residual -(2*q^2 - 2)/(q)*alpha*delta*x*xi",
+        "C17": "inconsistent bracket orderings across n: ['AD', 'neither']",
+    }

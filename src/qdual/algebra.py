@@ -628,11 +628,25 @@ class Element:
         return self.__mul__(c)
 
     def __pow__(self, n):
+        """self^n for an integer n; a negative n inverts self first.
+
+        A power of one block is one step: for n >= 2,
+        (k * g^e)^n = k^n * g^(e*n), and zero for an odd g.  A power of one
+        generator meets no exchange rule, so this holds in every
+        presentation.  Any other element is multiplied in n times in turn.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return invert_quasi_unit(self) ** (-n)
-        out = self.pres._one
+        pres = self.pres
+        if n >= 2 and len(self.terms) == 1 and len(self.terms[0][0]) == 1:
+            ((g, e),), k = self.terms[0]
+            if pres._parities[g]:
+                return pres._zero
+            c = k if k is ONE else _unit(k ** n)
+            return Element(pres, ((((g, e * n),), c),))
+        out = pres._one
         for _ in range(n):
             out = out * self
         return out

@@ -39,9 +39,10 @@ from qdual.presentations import (
     superplane,
     tensor,
 )
+from qdual.parsing import parse_element
 from qdual.qfield import ONE, Q, q_power, qnum, scalar
 
-from helpers import random_element, random_word
+from helpers import count_products, random_element, random_word
 
 DUAL = dual_algebra()
 GL = gl_algebra()
@@ -208,6 +209,41 @@ def test_scalar_coercion_and_powers():
     assert b ** 3 == DUAL.normal_form([("b", 3)])
     assert (Q * b) * DUAL.gen("b", -1) == DUAL.scalar(Q)
     assert 3 - b == DUAL.scalar(3) - b
+
+
+def test_power_of_one_block_matches_the_repeated_product(monkeypatch):
+    # (k * g^e)^n is one step, k^n * g^(e*n), in every presentation: a
+    # power of one generator meets no exchange rule
+    coeffs = (ONE, -ONE, Q, scalar(Fraction(2, 3)), (Q + 1) / (Q * Q))
+    for build in cli._BUILTIN_ALGEBRAS.values():
+        pres = build()
+        for spec in pres.generators:
+            exps = range(-3, 4) if spec.invertible else range(0, 4)
+            for e, k in ((e, k) for e in exps for k in coeffs):
+                x = pres.normal_form([(spec.name, e)], k)
+                expected = pres.one()
+                for n in range(7):
+                    power = x ** n
+                    assert power == expected, (pres.name, spec.name, e, k, n)
+                    if n >= 2 and e and spec.parity == ODD:
+                        assert power.is_zero
+                    if n >= 1 and e and k is ONE and power:
+                        assert power.terms[0][1] is ONE
+                    expected = expected * x
+    # a negative power still inverts first
+    inverted = []
+    invert = algebra.invert_quasi_unit
+
+    def counted(x):
+        inverted.append(x)
+        return invert(x)
+
+    monkeypatch.setattr(algebra, "invert_quasi_unit", counted)
+    x = DUAL.normal_form([("c", 2)], Q)
+    assert x ** -3 == DUAL.normal_form([("c", -6)], Q ** -3)
+    assert inverted == [x]
+    monkeypatch.undo()
+    assert count_products(monkeypatch, lambda: parse_element("b^512", DUAL)) == 0
 
 
 def test_inexact_scalars_and_unknown_styles_are_refused():

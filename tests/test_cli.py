@@ -178,6 +178,100 @@ def test_one_parser_serves_every_call(capsys):
     assert capsys.readouterr().err == usage
 
 
+_PARSES = [
+    # every subcommand with each of its flags
+    ["nf", "c*b"],
+    ["nf", "--algebra", "gl", "d*a"],
+    ["nf", "--algebra=gl", "d*a"],
+    ["nf", "--unicode", "c*b"],
+    ["nf", "c*b", "--latex"],
+    ["nf", "--", "-c*b"],
+    ["nf", "--algebra", "dual", "--", "c^-9*b^9*alpha"],
+    ["matpow", "--n", "3"],
+    ["matpow", "--n=3", "--direct"],
+    ["matpow", "--closed-form", "--n", "4"],
+    ["matpow", "--n", "5", "--compare", "--unicode"],
+    ["matpow", "--n", "2", "--latex"],
+    ["inverse"],
+    ["inverse", "--unicode"],
+    ["sdet", "--latex"],
+    ["verify"],
+    ["verify", "--max-n", "3", "--only", "C08,C09"],
+    ["verify", "--seed", "5", "--format", "machine"],
+    ["verify", "--format=text"],
+    # help, for the whole tree and for each subcommand
+    ["-h"],
+    ["--help"],
+    ["nf", "--help"],
+    ["matpow", "--help"],
+    ["inverse", "--help"],
+    ["sdet", "-h"],
+    ["verify", "--help"],
+    # usage errors
+    [],
+    ["frobnicate"],
+    ["frobnicate", "c*b"],
+    ["nf"],
+    ["nf", "--algebra"],
+    ["nf", "--bogus", "c*b"],
+    ["nf", "c*b", "extra"],
+    ["nf", "c*b", "extra", "--bogus"],
+    ["inverse", "extra"],
+    ["sdet", "--bogus"],
+    ["matpow"],
+    ["matpow", "--n", "x"],
+    ["verify", "--max-n", "1.5"],
+    ["verify", "--seed", "x"],
+    ["verify", "--format", "json"],
+    ["nf", "--unicode", "--latex", "c*b"],
+    ["matpow", "--n", "2", "--direct", "--compare"],
+]
+
+
+def _parse_outcome(capsys, call):
+    # (exit code or parsed Namespace, stdout, stderr)
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+def _less_command(namespace):
+    return {k: v for k, v in vars(namespace).items() if k != "command"}
+
+
+@pytest.mark.parametrize("argv", _PARSES, ids=" ".join)
+def test_main_parses_as_the_whole_parser_tree(capsys, monkeypatch, argv):
+    # main enters a command's own parser directly; every argv must come out
+    # as the whole tree's parse_args gives it: exit code, output, Namespace
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (lambda args, name=name: seen.append((name, args)) or 0)
+        for name in cli._COMMANDS
+    })
+    for via_sys_argv in (False, True):
+        if via_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["qdual", *argv])
+            whole = _parse_outcome(
+                capsys, lambda: cli._build_parser().parse_args())
+            direct = _parse_outcome(capsys, cli.main)
+        else:
+            whole = _parse_outcome(
+                capsys, lambda: cli._build_parser().parse_args(argv))
+            direct = _parse_outcome(capsys, lambda: cli.main(argv))
+        assert direct[1:] == whole[1:]
+        if isinstance(whole[0], tuple):
+            assert direct[0] == whole[0] and not seen
+        else:
+            assert direct[0] == 0
+            (name, args), = seen
+            assert name == whole[0].command
+            assert _less_command(args) == _less_command(whole[0])
+            seen.clear()
+
+
 def test_matpow_direct_and_closed(capsys):
     code, out, _ = run(capsys, "matpow", "--n", "1", "--closed-form")
     assert code == 0

@@ -20,7 +20,7 @@ provides:
 as an attribute (``qdual.checks``), loads its module on first use (PEP 562),
 so a caller that only builds presentations and normal forms loads the
 kernel (``qfield``, ``algebra``, ``parsing``, ``presentations``) and never
-``supermatrix``, ``checks`` or ``dataclasses``.
+``supermatrix`` or ``checks``, and no submodule imports ``dataclasses``.
 """
 
 from importlib import import_module as _import_module

@@ -319,11 +319,6 @@ class Presentation:
                         f"({self.generators[j].name}, {self.generators[i].name})"
                     )
 
-    # -- rule lookup --------------------------------------------------------
-
-    def _rule(self, gj, sj, gi, si):
-        return self._rules[(gj, sj, gi, si)]
-
     # -- element construction -------------------------------------------
 
     def _element(self, acc):
@@ -503,7 +498,7 @@ def _reduce(pres, items, *, rng=None):
         steps += 1
         if steps > _STEP_CAP:
             raise _step_cap_error(pres, len(word), word[t : t + 2])
-        lam, corr = pres._rule(*word[t], *word[t + 1])
+        lam, corr = pres._rules[word[t] + word[t + 1]]
         head, tail = word[:t], word[t + 2 :]
         pending.append((
             coeff if lam is ONE else coeff * lam,

@@ -14,12 +14,10 @@ All arithmetic is exact, so a "pass" means the residual is the zero element,
 never a small number.
 """
 
-from __future__ import annotations
-
 import json
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from . import supermatrix as sm
@@ -44,22 +42,25 @@ _QINV = q_power(-1)
 _BRACKET = Q - _QINV  # q - q^-1
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple(
+        "CheckReport", "check_id paper_ref parameters status witness elapsed",
+        defaults=("", 0.0))):
     """Outcome of one check: id, human reference, parameters, status."""
 
-    check_id: str
-    paper_ref: str
-    parameters: dict
-    status: str  # "pass" | "fail" | "anomaly"
-    witness: str = ""
-    elapsed: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in ("pass", "fail", "anomaly"):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == "fail" and not self.witness:
             raise ValueError("failing check must carry a witness")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks above
+        return cls(*iterable)
 
 
 class _Context:

@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 verification/comparison failure, 2 usage or
 expression errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -115,10 +113,6 @@ def _add_style_flags(sub):
     group.add_argument(
         "--latex", action="store_true", help="render entries as latex math"
     )
-
-
-def _build_parser():
-    return _parser_tree()[0]
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,7 @@ In relation names and outcome records the four entries of a matrix are
 labelled A = e11, B = e12, C = e21, D = e22.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import (
     AlgebraError,
@@ -44,7 +42,6 @@ class MatrixFormatError(AlgebraError):
     """An entry's parity contradicts the declared matrix format."""
 
 
-@dataclass(frozen=True, slots=True)
 class SuperMatrix:
     """An immutable 2x2 matrix of algebra elements.
 
@@ -53,37 +50,54 @@ class SuperMatrix:
     compares entries only, never the tag.
     """
 
-    e11: Element
-    e12: Element
-    e21: Element
-    e22: Element
-    fmt: str | None = field(default=None, compare=False)
+    __slots__ = (*_SLOTS, "fmt")
 
-    def __post_init__(self):
-        pres = next((x.pres for x in self.entries if isinstance(x, Element)), None)
+    def __init__(self, e11, e12, e21, e22, fmt=None):
+        entries = (e11, e12, e21, e22)
+        pres = next((x.pres for x in entries if isinstance(x, Element)), None)
         if pres is None:
             raise TypeError("at least one entry must be an algebra element")
-        for slot, x in zip(_SLOTS, self.entries):
+        for slot, x in zip(_SLOTS, entries):
             if isinstance(x, Element):
                 if x.pres is not pres:
                     raise AlgebraMismatchError(
                         "matrix entries live in different algebras"
                     )
-                continue
-            c = _coerce(x)
-            if c is None:
-                raise TypeError(f"entry {x!r} is not an element or scalar")
-            object.__setattr__(self, slot, pres.scalar(c))
-        if self.fmt is not None:
-            pattern = _PARITY_PATTERN.get(self.fmt)
+            else:
+                c = _coerce(x)
+                if c is None:
+                    raise TypeError(f"entry {x!r} is not an element or scalar")
+                x = pres.scalar(c)
+            object.__setattr__(self, slot, x)
+        object.__setattr__(self, "fmt", fmt)
+        if fmt is not None:
+            pattern = _PARITY_PATTERN.get(fmt)
             if pattern is None:
-                raise ValueError(f"unknown matrix format {self.fmt!r}")
+                raise ValueError(f"unknown matrix format {fmt!r}")
             for x, want in zip(self.entries, pattern):
                 got = x.parity()
                 if got is not None and got != want:
                     raise MatrixFormatError(
-                        f"entry parity {got} contradicts {self.fmt!r} format"
+                        f"entry parity {got} contradicts {fmt!r} format"
                     )
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e11, self.e12, self.e21, self.e22) == (
+            other.e11, other.e12, other.e21, other.e22)
+
+    def __hash__(self):
+        return hash((self.e11, self.e12, self.e21, self.e22))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past __setattr__
+        return self.__class__, (*self.entries, self.fmt)
 
     @property
     def pres(self):
@@ -320,20 +334,18 @@ def even_closed_forms(pres, max_n, start=1):
 # relation-pattern checks (structured outcomes, never raising)
 
 
-@dataclass(frozen=True)
-class RelationResult:
+class RelationResult(namedtuple("RelationResult", "name residual")):
     """One relation instance: a name and its residual, zero when it holds."""
 
-    name: str
-    residual: Element
+    __slots__ = ()
 
     @property
     def holds(self):
         return self.residual.is_zero
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(namedtuple(
+        "CheckOutcome", "ok relations bracket_ordering", defaults=((), None))):
     """Aggregate of relation results; ``ok`` means every expectation held.
 
     ``bracket_ordering`` is set by :func:`check_dual_pattern` to record
@@ -341,9 +353,7 @@ class CheckOutcome:
     "DA", "AD", "both", or "neither".
     """
 
-    ok: bool
-    relations: tuple = ()
-    bracket_ordering: str | None = None
+    __slots__ = ()
 
     def failures(self):
         return [r for r in self.relations if not r.holds]

@@ -912,7 +912,7 @@ def _eager_reduce(pres, items, *, rng=None, prune=True):
                 acc[m] = coeff if c0 is None else c0 + coeff
             continue
         t = redexes[0] if rng is None else rng.choice(redexes)
-        lam, corr = pres._rule(*word[t], *word[t + 1])
+        lam, corr = pres._rules[word[t] + word[t + 1]]
         head, tail = word[:t], word[t + 2:]
         pending.append((coeff * lam, head + (word[t + 1], word[t]) + tail))
         for mu, u in corr:
@@ -920,16 +920,22 @@ def _eager_reduce(pres, items, *, rng=None, prune=True):
     return acc
 
 
-def _log_rules(monkeypatch):
-    # every rule application, in order, across all presentations
+class _LoggedRules(dict):
+    # a presentation's rule table that logs each lookup by key
+    def __init__(self, pres, log):
+        super().__init__(pres._rules)
+        self.name, self.log = pres.name, log
+
+    def __getitem__(self, key):
+        self.log.append((self.name, key))
+        return super().__getitem__(key)
+
+
+def _log_rules(monkeypatch, presentations):
+    # every rule application, in order, across the given presentations
     log = []
-    rule = Presentation._rule
-
-    def logged(pres, *key):
-        log.append((pres.name, key))
-        return rule(pres, *key)
-
-    monkeypatch.setattr(Presentation, "_rule", logged)
+    for pres in presentations:
+        monkeypatch.setattr(pres, "_rules", _LoggedRules(pres, log))
     return log
 
 
@@ -943,10 +949,11 @@ def _structure(acc):
 
 def test_reduce_matches_eager_reference_fuzz(monkeypatch):
     # rule for rule, in leftmost and in seeded order
-    log = _log_rules(monkeypatch)
+    algebras = _pair_table_algebras()
+    log = _log_rules(monkeypatch, algebras)
     rng = random.Random(50321)
     scales = (ONE, scalar(0), scalar(-1)) + _SCALES
-    for pres in _pair_table_algebras():
+    for pres in algebras:
         for _ in range(30):
             items = [
                 (rng.choice(scales), pres.letters(random_word(pres, rng, 6)))
@@ -983,7 +990,7 @@ def test_oracle_drops_a_word_that_repeats_an_odd_letter(monkeypatch):
     # C16's costliest word at fuzz seed 6 repeats the odd letter beta, so it
     # is zero before any rule is applied
     word = [(3, 2), (3, 1), (2, 2), (2, 2), (0, 1), (0, 1), (2, 2)]
-    log = _log_rules(monkeypatch)
+    log = _log_rules(monkeypatch, [GL])
     for seed in (0, 1, 2, 3):
         assert GL.brute_force_nf(word, seed).is_zero
         assert log == []

@@ -109,6 +109,18 @@ def test_report_invariants():
         CheckReport("C01", "x", {}, "maybe")
     bad = CheckReport("C01", "x", {}, "fail", witness="residual was nonzero")
     assert has_failure([bad])
+    good = CheckReport("C01", "x", {}, "pass")
+    with pytest.raises(ValueError):
+        good._replace(status="maybe")
+    with pytest.raises(ValueError):
+        good._replace(status="fail")
+    assert good._replace(status="anomaly").status == "anomaly"
+    assert repr(bad) == (
+        "CheckReport(check_id='C01', paper_ref='x', parameters={}, "
+        "status='fail', witness='residual was nonzero', elapsed=0.0)"
+    )
+    with pytest.raises(AttributeError):
+        bad.status = "pass"
 
 
 def test_closed_form_sweeps_take_linearly_many_products(monkeypatch):

@@ -163,7 +163,7 @@ def test_usage_errors_exit_2(capsys):
 def test_one_parser_serves_every_call(capsys):
     # the argparse tree is built once per process; a usage error that exits
     # through SystemExit must leave it fit for the next calls
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._parser_tree()[0] is cli._parser_tree()[0]
     with pytest.raises(SystemExit) as exc:
         cli.main(["matpow", "--n", "2", "--direct", "--compare"])
     assert exc.value.code == 2
@@ -211,6 +211,8 @@ _PARSES = [
     [],
     ["frobnicate"],
     ["frobnicate", "c*b"],
+    ["ver"],
+    ["--version"],
     ["nf"],
     ["nf", "--algebra"],
     ["nf", "--bogus", "c*b"],
@@ -225,6 +227,8 @@ _PARSES = [
     ["verify", "--format", "json"],
     ["nf", "--unicode", "--latex", "c*b"],
     ["matpow", "--n", "2", "--direct", "--compare"],
+    # a usage error before the gh-53780 argparse fix, an nf call after it
+    ["--", "nf", "b"],
 ]
 
 
@@ -255,11 +259,11 @@ def test_main_parses_as_the_whole_parser_tree(capsys, monkeypatch, argv):
         if via_sys_argv:
             monkeypatch.setattr(sys, "argv", ["qdual", *argv])
             whole = _parse_outcome(
-                capsys, lambda: cli._build_parser().parse_args())
+                capsys, lambda: cli._parser_tree()[0].parse_args())
             direct = _parse_outcome(capsys, cli.main)
         else:
             whole = _parse_outcome(
-                capsys, lambda: cli._build_parser().parse_args(argv))
+                capsys, lambda: cli._parser_tree()[0].parse_args(argv))
             direct = _parse_outcome(capsys, lambda: cli.main(argv))
         assert direct[1:] == whole[1:]
         if isinstance(whole[0], tuple):
@@ -270,6 +274,19 @@ def test_main_parses_as_the_whole_parser_tree(capsys, monkeypatch, argv):
             assert name == whole[0].command
             assert _less_command(args) == _less_command(whole[0])
             seen.clear()
+
+
+def test_main_runs_the_command_the_whole_tree_parses(monkeypatch):
+    # an argv that names no command goes through the whole tree; where
+    # argparse strips a leading "--" that parse returns, and main runs it
+    parser = cli._parser_tree()[0]
+    parsed = parser.parse_args(["nf", "b"])
+    monkeypatch.setattr(parser, "parse_args", lambda argv=None: parsed)
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        "nf": lambda args: seen.append(args) or 0})
+    assert cli.main(["--", "nf", "b"]) == 0
+    assert seen == [parsed]
 
 
 def test_matpow_direct_and_closed(capsys):

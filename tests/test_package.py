@@ -58,6 +58,19 @@ def test_import_loads_only_the_kernel():
     assert {"qdual.checks", "qdual.supermatrix"} <= set(later)
 
 
+def test_cli_and_a_suite_run_load_no_dataclasses():
+    # the records are named tuples and slotted classes: a qdual process does
+    # not pay for dataclasses and the inspect module it brings in
+    loaded = _fresh(
+        "import json, sys\n"
+        "import qdual.cli\n"
+        "qdual.cli.run_suite(1)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    assert "qdual.checks" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
 def test_every_export_is_its_home_modules_object():
     assert set(qdual.__all__) == PUBLIC
     for module, names in qdual._EXPORTS.items():

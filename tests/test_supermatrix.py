@@ -1,5 +1,8 @@
 """2x2 supermatrices: products, inverses, determinants, closed-form powers."""
 
+import copy
+import pickle
+
 import pytest
 
 from qdual.algebra import AlgebraMismatchError, is_central, render_element
@@ -81,6 +84,32 @@ def test_immutability_and_equality():
     untagged = SuperMatrix(*MAT.entries)
     assert untagged.fmt is None and untagged == MAT and hash(untagged) == hash(MAT)
     assert MAT != GLMAT
+    for slot in ("e11", "e12", "e21", "e22", "fmt"):
+        with pytest.raises(AttributeError):
+            setattr(MAT, slot, DUAL.zero())
+        with pytest.raises(AttributeError):
+            delattr(MAT, slot)
+    with pytest.raises(AttributeError):
+        MAT.extra = 1
+    assert MAT.fmt == "dual" and MAT.entries == dual_generator_matrix(DUAL).entries
+
+
+def test_copies_keep_entries_and_format():
+    shallow = copy.copy(MAT)
+    assert shallow == MAT and shallow.fmt == "dual"
+    # a deep copy or a pickle round trip rebuilds the presentation too, so
+    # it keeps the text of the entries, not their algebra object
+    for other in (copy.deepcopy(MAT), pickle.loads(pickle.dumps(MAT))):
+        assert str(other) == str(MAT) and other.fmt == "dual"
+    assert copy.copy(SuperMatrix(*MAT.entries)).fmt is None
+
+
+def test_str_and_repr():
+    assert str(MAT) == repr(MAT) == "[[alpha, b], [c, delta]]"
+    assert repr(MAT @ MAT) == (
+        "[[b*c, q*delta*b + alpha*b], "
+        "[delta*c + q*alpha*c, b*c + (q^2 - 1)/(q)*alpha*delta]]"
+    )
 
 
 # -- products and powers -----------------------------------------------------
@@ -198,6 +227,13 @@ def test_generator_matrix_satisfies_dual_pattern():
     assert out.ok
     assert out.bracket_ordering == "DA"
     assert not [r for r in out.failures() if "D*A" in r.name]
+
+
+def test_both_bracket_orderings_hold_when_the_diagonal_vanishes():
+    b = DUAL.gen("b")
+    out = check_dual_pattern(SuperMatrix(0, b, b, 0), Q)
+    assert out.ok and out.bracket_ordering == "both"
+    assert out.failures() == []
 
 
 def test_square_fails_dual_pattern_but_passes_gl():

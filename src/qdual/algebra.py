@@ -427,6 +427,21 @@ class Presentation:
     def __repr__(self):
         return f"<Presentation {self.name!r}, {len(self.generators)} generators>"
 
+    # a presentation is its structure's one interned object, and its tables
+    # are shared: a copy is the object itself, and a pickle rebuilds through
+    # the intern, so copied and unpickled elements mix with the originals
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        from .presentations import _authored, _descriptor
+        return _descriptor, (self.name, self.generators,
+                             tuple(sorted(_authored(self))))
+
 
 def _has_repeated_odd(pres, word):
     # a word of letters (g, ±1) or of pairs (g, e): an odd generator twice,

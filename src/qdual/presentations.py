@@ -16,10 +16,11 @@ them and derives the exchange rules for inverse letters.
 Every route ends at one structural intern keyed on the name, generators
 and authored rules sorted by key, so one structure is one object however
 it was built: elements from separate calls mix, and each multiplication
-table is filled once per process.  The built-ins, ``tensor`` and
-``rename`` keep identity caches in front of it, which keep every
-presentation passed to them alive; two threads making the first call at
-the same moment may each build an object.
+table is filled once per process.  A copy of a presentation is the object
+itself, and a pickle rebuilds it through the intern.  The built-ins,
+``tensor`` and ``rename`` keep identity caches in front of it, which keep
+every presentation passed to them alive; two threads making the first
+call at the same moment may each build an object.
 """
 
 from functools import lru_cache

@@ -23,7 +23,8 @@ a monic denominator is unique:
 * a sum over two different powers of q shifts the numerator over the
   smaller one up to the larger and adds, with no reduction;
 * a power raises the numerator and the denominator apart;
-* :func:`qnum` builds its polynomial directly.
+* :func:`qnum` builds its polynomial directly, and keeps the small ones in
+  a bounded LRU cache.
 
 Long integer polynomials go through one big-integer kernel (Kronecker
 substitution): each operand is packed into signed 64-bit slots, one slot
@@ -47,8 +48,9 @@ takes primitive integer operands on both routes and gives a primitive
 integer result.  Before a gcd that GCDHEU leaves open falls back, Euclid
 modulo a word-sized prime that divides neither leading coefficient can
 prove the operands coprime, which settles the gcd as 1.  Long division
-runs on a dense coefficient list, and evaluation uses Horner's rule on
-integers scaled by a power of the point's denominator.
+runs on a dense coefficient list.  Evaluation runs Horner's rule on the
+numerator and the denominator apart, as integers scaled by a power of the
+point's denominator, and normalises one ``Fraction`` at the end.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction`` only
 when it is not.  Almost every coefficient the engine makes is an integer
@@ -66,6 +68,7 @@ they always reduce to honest polynomials.
 import struct
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
 from math import gcd, lcm
 
@@ -167,7 +170,11 @@ def _pmul(a, b):
 # 64-bit slot.  struct and memoryview write and read the slots in native
 # two's complement; xor-ing 2^63 into every slot maps c to c + 2^63 in
 # [0, 2^64), where the slots add and carry like the digits of one unsigned
-# integer.
+# integer.  An offset over more slots than an operand puts 2^63, a zero
+# slot, above it, so one offset, formed once for the widest integer of a
+# product or quotient, packs both operands and reads back the result.  Each
+# operand is split into exponents and coefficients once, and a result with
+# no zero slot is read back in one zip.
 
 
 def _koffset(n):
@@ -177,12 +184,15 @@ def _koffset(n):
 
 def _kstride(ks):
     # the step of evenly spaced exponents, else the gcd of their offsets;
-    # 0 for a single term
-    if len(ks) == 1:
-        return 0
+    # 0 for a single term.  Strictly increasing exponents that span one
+    # step fewer than their count are consecutive
+    n = len(ks) - 1
     k0 = ks[0]
+    span = ks[-1] - k0
+    if span == n:
+        return min(n, 1)
     s = ks[1] - k0
-    if ks == list(range(k0, k0 + s * len(ks), s)):
+    if span == s * n and ks == tuple(range(k0, ks[-1] + 1, s)):
         return s
     return gcd(*[k - k0 for k in ks])
 
@@ -191,9 +201,10 @@ def _kbound(cs):
     return max(max(cs), -min(cs))
 
 
-def _kpack(ks, cs, g):
-    # sum c * 2^(64 (k - k0) / g) over the terms; struct.error for a
-    # Fraction coefficient or one of 2^63 or more in size
+def _kpack(ks, cs, g, off):
+    # sum c * 2^(64 (k - k0) / g) over the terms, for off 2^63 in each of at
+    # least as many slots as the terms span; struct.error for a Fraction
+    # coefficient or one of 2^63 or more in size
     n = (ks[-1] - ks[0]) // g + 1
     if n != len(cs):
         full = [0] * n
@@ -201,39 +212,41 @@ def _kpack(ks, cs, g):
         for k, c in zip(ks, cs):
             full[(k - k0) // g] = c
         cs = full
-    off = _koffset(n)
     return (int.from_bytes(struct.pack(f"{n}q", *cs), sys.byteorder) ^ off) - off
 
 
-def _kunpack(p, n, k0, g):
+def _kunpack(p, n, k0, g, off):
     # the polynomial whose coefficients at q^(k0 + g*i) are the n signed
-    # slots of p, or None when p does not fit n slots
-    off = _koffset(n)
+    # slots of p, or None when p does not fit n slots; off as for _kpack
     try:
         buf = ((p + off) ^ off).to_bytes(8 * n, sys.byteorder)
     except OverflowError:
         return None
     cs = memoryview(buf).cast("q").tolist()
-    return tuple(compress(zip(range(k0, k0 + g * n, g), cs), cs))
+    ks = range(k0, k0 + g * n, g)
+    if 0 in cs:
+        return tuple(compress(zip(ks, cs), cs))
+    return tuple(zip(ks, cs))
 
 
 def _kmul(a, b):
     # a * b by Kronecker substitution, or None where it does not apply: a
     # Fraction coefficient, a coefficient of the product that could reach
     # 2^63, or operands so sparse that the integers would mostly hold zeros
-    ka, ca = [k for k, _ in a], [c for _, c in a]
-    kb, cb = [k for k, _ in b], [c for _, c in b]
-    g = gcd(_kstride(ka), _kstride(kb))
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
+    g = gcd(_kstride(ka), _kstride(kb)) or 1
     n = (ka[-1] - ka[0] + kb[-1] - kb[0]) // g + 1
     if n > 4 * (len(a) + len(b)):
         return None
     if _kbound(ca) * _kbound(cb) * min(len(a), len(b)) >= 1 << 63:
         return None
+    off = _koffset(n)
     try:
-        p = _kpack(ka, ca, g) * _kpack(kb, cb, g)
+        p = _kpack(ka, ca, g, off) * _kpack(kb, cb, g, off)
     except struct.error:
         return None
-    return _kunpack(p, n, ka[0] + kb[0], g)
+    return _kunpack(p, n, ka[0] + kb[0], g, off)
 
 
 def _kdiv(a, b):
@@ -243,25 +256,26 @@ def _kdiv(a, b):
     # quotient fits n signed slots, with max|quo| * max|b| * min(len) below
     # 2^63, proves quo * b = a term by term: every coefficient of quo * b
     # then fits a slot, and a balanced base-2^64 expansion is unique
-    ka, ca = [k for k, _ in a], [c for _, c in a]
-    kb, cb = [k for k, _ in b], [c for _, c in b]
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
     if ka[0] < kb[0]:
         return None
-    g = gcd(_kstride(ka), _kstride(kb))
+    g = gcd(_kstride(ka), _kstride(kb)) or 1
     na = (ka[-1] - ka[0]) // g + 1
     n = na - (kb[-1] - kb[0]) // g
     if n < 1 or na > 4 * (len(a) + len(b)):
         return None
+    off = _koffset(na)
     try:
-        quo, rem = divmod(_kpack(ka, ca, g), _kpack(kb, cb, g))
+        quo, rem = divmod(_kpack(ka, ca, g, off), _kpack(kb, cb, g, off))
     except struct.error:
         return None
     if rem:
         return None
-    quo = _kunpack(quo, n, ka[0] - kb[0], g)
+    quo = _kunpack(quo, n, ka[0] - kb[0], g, off)
     if quo is None:
         return None
-    cq = [c for _, c in quo]
+    _, cq = zip(*quo)
     if _kbound(cq) * _kbound(cb) * min(len(cq), len(cb)) >= 1 << 63:
         return None
     return quo
@@ -275,15 +289,17 @@ def _hgcd(a, b):
     # give a candidate h; the gcd is positive, so the leading slot of h is
     # too.  Since 2^64 > 2 min(|a|, |b|) + 2, h is the gcd when it divides
     # both (the CGG theorem), and _kdiv checks exactly that
-    ka, ca = [k for k, _ in a], [c for _, c in a]
-    kb, cb = [k for k, _ in b], [c for _, c in b]
+    ka, ca = zip(*a)
+    kb, cb = zip(*b)
     if max(_kbound(ca), _kbound(cb)) >= 1 << 62:
         return None
     g = gcd(_kstride(ka), _kstride(kb))
-    if max(ka[-1], kb[-1]) // g + 1 > 4 * (len(a) + len(b)):
+    n = max(ka[-1], kb[-1]) // g + 1
+    if n > 4 * (len(a) + len(b)):
         return None
-    h = _kunpack(gcd(_kpack(ka, ca, g), _kpack(kb, cb, g)),
-                 min(ka[-1], kb[-1]) // g + 1, 0, g)
+    off = _koffset(n)
+    h = _kunpack(gcd(_kpack(ka, ca, g, off), _kpack(kb, cb, g, off)),
+                 min(ka[-1], kb[-1]) // g + 1, 0, g, off)
     if h is None:
         return None
     content = gcd(*[c for _, c in h])
@@ -308,19 +324,21 @@ def _ppow(a, k):
         a = _pmul(a, a)
 
 
-def _peval(a, v):
-    # Horner's rule over the sparse terms, from the top degree down, on
-    # v = p/s scaled by s^deg so that integer coefficients stay integers
-    if not a:
-        return Fraction(0)
-    p, s = v.numerator, v.denominator
+def _peval(a, p, s):
+    # (a at q = p/s) * s^deg(a), by Horner's rule over the sparse terms from
+    # the top degree down; integer coefficients keep it an integer, and a
+    # run of equal gaps reuses p^gap and s^gap
     k, acc = a[-1]
     scale = 1
+    gap = pg = sg = None
     for j, c in reversed(a[:-1]):
-        scale *= s ** (k - j)
-        acc = acc * p ** (k - j) + c * scale
+        if k - j != gap:
+            gap = k - j
+            pg, sg = p ** gap, s ** gap
+        scale *= sg
+        acc = acc * pg + c * scale
         k = j
-    return Fraction(acc * p ** k, scale * s ** k)
+    return acc * p ** k
 
 
 def _pdivmod(a, b):
@@ -625,11 +643,18 @@ class QRational:
         Returns a ``Fraction``.  Raises :class:`PoleError` if v is a zero of
         the denominator.
         """
-        v = _exact(v)
-        d = _peval(self.den, v)
+        p, s = _exact(v).numerator, v.denominator
+        d = _peval(self.den, p, s)
         if not d:
             raise PoleError(f"pole at q = {v}")
-        return _peval(self.num, v) / d
+        if not self.num:
+            return Fraction(0)
+        # num(v) / den(v) = (n s^-dn) / (d s^-dd) for the two top degrees
+        shift = self.num[-1][0] - self.den[-1][0]
+        n = _peval(self.num, p, s)
+        if shift > 0:
+            return Fraction(n, d * s ** shift)
+        return Fraction(n * s ** -shift, d)
 
     # -- comparison / hashing / rendering --------------------------------
 
@@ -725,11 +750,22 @@ def qnum(n, k=1):
 
     Requires n >= 0 and k >= 1.  The quotient always reduces to the
     polynomial 1 + q^(2k) + ... + q^(2k(n-1)); [0] is 0 and [1] is 1.
+    The values up to [32] stay in a small LRU cache, so a repeated call
+    for one of them returns the same object.
     """
     if n < 0:
         raise ValueError("qnum requires n >= 0")
     if k < 1:
         raise ValueError("qnum requires k >= 1")
+    return _qnum_lru(n, k) if n <= 32 else _qnum(n, k)
+
+
+def _qnum(n, k):
     if n == 0:
         return ZERO
     return QRational(tuple(zip(range(0, 2 * k * n, 2 * k), repeat(1, n))), _PONE)
+
+
+# a Gaussian binomial takes each small q-integer many times; the bound on n
+# keeps the cache below about 100 KB
+_qnum_lru = lru_cache(maxsize=32)(_qnum)

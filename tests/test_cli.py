@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -473,3 +474,47 @@ def test_closed_stdout_is_silent_and_keeps_the_exit_code(unbuffered):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+def test_closed_stdout_keeps_the_verify_exit_code():
+    # `qdual verify | head` with the read end closed before the suite
+    # prints: the exit code is the suite's own, 0 when every check passes
+    # and 1 with a fault put into the checks, and stderr holds no traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    code = ("import sys; from qdual import checks, cli; {}"
+            "sys.exit(cli.main(['verify', '--max-n', '2']))")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        runs = [
+            subprocess.run([sys.executable, "-c", code.format(fault)],
+                           stdout=write_end, stderr=subprocess.PIPE, env=env,
+                           timeout=60)
+            for fault in ("", "checks._QINV = checks.Q; ")
+        ]
+    finally:
+        os.close(write_end)
+    assert [(p.returncode, p.stderr) for p in runs] == [(0, b""), (1, b"")]
+
+
+def test_emit_points_a_closed_stdout_at_devnull(monkeypatch):
+    # in process: print's BrokenPipeError ends the output, and the stream's
+    # file descriptor is pointed at os.devnull so the flush at exit succeeds
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return 99
+
+    dups = []
+    fake_os = SimpleNamespace(open=os.open, close=os.close, devnull=os.devnull,
+                              O_WRONLY=os.O_WRONLY,
+                              dup2=lambda fd, to: dups.append(to))
+    monkeypatch.setattr(cli, "os", fake_os)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    cli._emit("e11 = alpha", "e12 = b")
+    assert dups == [99]

@@ -1,7 +1,13 @@
 """Builtin presentations and the text descriptor format."""
 
+import copy
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +217,54 @@ def test_descriptor_round_trip():
     assert render_element(parse_element("theta*u^-1", pres)) == (
         "(1)/(q^2)*u^-1*theta"
     )
+
+
+def _round_trips(obj):
+    return copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))
+
+
+def test_copies_and_pickles_are_the_interned_object():
+    loaded = load_presentation(
+        "generator u even invertible\ngenerator v odd\nrule v*u = q^2*u*v",
+        name="copied",
+    )
+    for pres in (dual_algebra(), loaded, tensor(dual_algebra(), superplane()),
+                 rename(dual_algebra(), "2"), rename(loaded, "_r")):
+        for other in _round_trips(pres):
+            assert other is pres
+    d = dual_algebra()
+    b, c = parse_element("b", d), parse_element("c", d)
+    for other in _round_trips(c * b):
+        # elements equal the original and multiply with its algebra's
+        assert other == c * b and other.pres is d
+        assert other * b == c * b * b and b * other == b * c * b
+    x = parse_element("v*u^-1", loaded)
+    for other in _round_trips(x):
+        assert other == x and other * x == x * x
+
+
+def test_a_pickle_loads_in_a_fresh_process():
+    # the intern rebuilds the presentation there, and a later built-in call
+    # returns the same object
+    d = dual_algebra()
+    data = pickle.dumps((d, parse_element("c*b", d)))
+    code = (
+        "import pickle, sys\n"
+        "from qdual import dual_algebra, parse_element\n"
+        "d, e = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert d is dual_algebra() and e == parse_element('c*b', d)\n"
+        "print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                          capture_output=True, timeout=60, check=True)
+    assert proc.stdout.decode().strip() == str(parse_element("c*b", d))
+
+
+def test_repr():
+    assert repr(dual_algebra()) == "<Presentation 'dual', 4 generators>"
+    assert repr(tensor(dual_algebra(), superplane())) == (
+        "<Presentation 'dualxplane', 6 generators>")
 
 
 def test_descriptor_with_correction_term():

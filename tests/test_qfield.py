@@ -722,6 +722,104 @@ def test_kronecker_quotients_stay_exact_at_the_64_bit_boundary():
     assert _pdivmod(a, minus) == (quo, ())
 
 
+def _same_terms(got, want):
+    # identical tuples, coefficient types included
+    assert got == want
+    assert [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
+def _gapped_poly(rng, terms, g, low, coeffs):
+    # terms at low + g*i for a random, unevenly spaced set of i
+    slots = sorted(rng.sample(range(3 * terms), terms))
+    return _canon({low + g * i: rng.choice(coeffs) for i in slots})
+
+
+def test_kronecker_kernel_matches_the_reference_loops_fuzz():
+    # _kmul against the dict loop and _kdiv against long division, on the
+    # shapes the kernel meets: strides 1, 2, 3, uneven gaps with a common
+    # stride, mixed strides, one-term operands and negative coefficients
+    rng = random.Random(70011)
+    signed = (1, -1, 2, -3, 5, -8, 13, -21)
+    products = quotients = 0
+    for _ in range(300):
+        g = rng.choice((1, 2, 3))
+        h = g if rng.random() < 0.7 else rng.choice((1, 2, 3))
+        x = _gapped_poly(rng, rng.randint(1, 24), g, rng.randint(-4, 6), signed)
+        y = _gapped_poly(rng, rng.choice((1, rng.randint(2, 24))), h,
+                         rng.randint(-4, 6), signed)
+        for a, b in ((x, y), (y, x)):
+            got = _kmul(a, b)
+            if got is not None:
+                products += 1
+                _same_terms(got, _dict_pmul(a, b))
+            _assert_pmul_matches(a, b)
+        a = _dict_pmul(x, y)
+        for b, quo in ((y, x), (x, y)):
+            got = _assert_kdiv_agrees(a, b)
+            if got is not None:
+                quotients += 1
+                _same_terms(got, quo)
+    assert products > 400 and quotients > 300
+
+
+def test_kronecker_kernel_reads_back_zero_slots():
+    # products and quotients whose middle slots cancel to zero
+    for g in (1, 2, 3):
+        for m in (2, 5, 9):
+            ones = tuple((g * i, 1) for i in range(m))
+            minus = ((0, 1), (g, -1))
+            telescoped = ((0, 1), (g * m, -1))
+            _same_terms(_kmul(ones, minus), telescoped)
+            _same_terms(_kmul(minus, ones), telescoped)
+            # (1 + q^(mg)) [3] / [3]: a quotient with zero slots inside
+            three = ((0, 1), (g, 1), (2 * g, 1))
+            spread = ((0, 1), (g * m, 1))
+            a = _kmul(spread, three)
+            _same_terms(a, _dict_pmul(spread, three))
+            _same_terms(_kdiv(telescoped, minus), ones)
+            _same_terms(_kdiv(a, three), spread)
+    # one term on either side, or both
+    _same_terms(_kmul(((3, -2),), ((1, 5),)), ((4, -10),))
+    _same_terms(_kmul(((3, -2),), ((0, 1), (2, 1))), ((3, -2), (5, -2)))
+    _same_terms(_kdiv(((4, -10),), ((1, 5),)), ((3, -2),))
+    _same_terms(_kdiv(((3, -2), (5, -2)), ((3, -2),)), ((0, 1), (2, 1)))
+    assert _kdiv(((4, -10),), ((1, 3),)) is None
+
+
+def test_kronecker_kernel_guards_at_the_64_bit_boundary():
+    # max|a| * max|b| * min(len) below 2^63 takes the kernel, at 2^63 falls
+    # back; the results agree with the dict loop either way
+    for stride in (1, 2):
+        a = tuple((stride * i, 3) for i in range(8))
+        for m in ((1 << 63) // 24 - 1, (1 << 63) // 24 + 1):
+            for sign in (1, -1):
+                b = tuple((stride * i, sign * m) for i in range(8))
+                got = _kmul(a, b)
+                assert (got is None) == (3 * m * 8 >= 1 << 63)
+                _assert_pmul_matches(a, b)
+                if got is not None:
+                    _same_terms(got, _dict_pmul(a, b))
+                    _same_terms(_kdiv(got, a), b)
+    # a Fraction coefficient and a sparse operand fall back
+    dense = tuple((i, i + 1) for i in range(10))
+    assert _kmul(dense, ((0, Fraction(1, 2)), (1, 1))) is None
+    assert _kdiv(dense, ((0, Fraction(1, 2)), (1, 1))) is None
+    assert _kmul(dense, ((0, 1), (10 ** 6, 1))) is None
+    assert _kdiv(_dict_pmul(dense, ((0, 1), (10 ** 6, 1))), dense) is None
+
+
+def test_kronecker_slots_are_native_signed_words():
+    # the packed integer is sum c * 2^(64 i) whatever the byte order, an
+    # offset wider than the operand packs it alike, and the slots read back
+    ks, cs = (0, 2, 4), (5, -1, -(1 << 63))
+    want = 5 - (1 << 64) - (1 << 191)
+    for slots in (3, 4, 9):
+        off = qfield._koffset(slots)
+        assert qfield._kpack(ks, cs, 2, off) == want
+        assert qfield._kunpack(want, 3, 0, 2, off) == tuple(zip(ks, cs))
+        assert qfield._kunpack(want, 2, 0, 2, off) is None
+
+
 def test_heuristic_gcd_matches_euclid_and_sympy_fuzz(monkeypatch):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("q")
@@ -1024,6 +1122,50 @@ def test_eval_at_matches_plain_fraction_sums():
             assert type(got) is Fraction
             assert got == _plain_value(f.num, Fraction(v)) / den
     assert poles >= 12
+
+
+def test_eval_at_matches_the_value_of_each_polynomial_fuzz():
+    # sparse terms with runs of equal gaps and uneven ones, Fraction
+    # coefficients, at negative, zero and fractional points
+    rng = random.Random(70013)
+    points = (0, -1, -2, 3, Fraction(-1, 3), Fraction(5, 7), Fraction(-7, 2),
+              Fraction(1, 2))
+    coeffs = (1, -1, 2, -3, 7, Fraction(1, 2), Fraction(-3, 7))
+    poles = 0
+    for _ in range(150):
+        num = _gapped_poly(rng, rng.randint(1, 12), rng.choice((1, 2)),
+                           rng.randint(0, 3), coeffs)
+        den = _gapped_poly(rng, rng.randint(1, 6), 1, rng.randint(0, 2), coeffs)
+        f = QRational._make(num, den)
+        if rng.random() < 0.3:
+            # a factor (q - v) in the denominator puts a pole at v
+            f = f / (Q - rng.choice(points))
+        for v in points:
+            den_v = _plain_value(f.den, Fraction(v))
+            if not den_v:
+                poles += 1
+                with pytest.raises(PoleError):
+                    f.eval_at(v)
+                continue
+            got = f.eval_at(v)
+            assert type(got) is Fraction
+            assert got == _plain_value(f.num, Fraction(v)) / den_v
+    assert poles > 20
+    assert ZERO.eval_at(0) == 0 and type(ZERO.eval_at(0)) is Fraction
+
+
+def test_qnum_keeps_the_small_values_in_a_bounded_cache():
+    lru = qfield._qnum_lru
+    for k in (1, 2, 3):
+        for n in range(34):
+            first = qnum(n, k)
+            assert qnum(n, k) is first if n <= 32 else qnum(n, k) == first
+            assert first.num == tuple((2 * k * i, 1) for i in range(n))
+            assert lru.cache_info().currsize <= 32
+    # above [32] every call builds its own value, so the cache holds no
+    # long polynomial
+    assert qnum(33) is not qnum(33)
+    assert lru.cache_info().maxsize == 32
 
 
 def test_only_exact_values_are_accepted():

@@ -97,10 +97,13 @@ def test_immutability_and_equality():
 def test_copies_keep_entries_and_format():
     shallow = copy.copy(MAT)
     assert shallow == MAT and shallow.fmt == "dual"
-    # a deep copy or a pickle round trip rebuilds the presentation too, so
-    # it keeps the text of the entries, not their algebra object
+    # a deep copy keeps the presentation object and a pickle round trip
+    # rebuilds it through the intern, so both equal the original and mix
+    # with it
     for other in (copy.deepcopy(MAT), pickle.loads(pickle.dumps(MAT))):
-        assert str(other) == str(MAT) and other.fmt == "dual"
+        assert other == MAT and other.fmt == "dual"
+        assert other.pres is MAT.pres
+        assert other @ MAT == MAT @ MAT
     assert copy.copy(SuperMatrix(*MAT.entries)).fmt is None
 
 

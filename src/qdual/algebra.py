@@ -228,8 +228,8 @@ class Presentation:
         self.generators = tuple(generators)
         self.index = {g.name: i for i, g in enumerate(self.generators)}
         self._parities = tuple(g.parity for g in self.generators)
-        # coefficients equal to 1 become the ONE singleton, which the
-        # engine's `is ONE` shortcuts test for
+        # coefficients equal to 1 become the ONE singleton, whose products
+        # QRational.__mul__ skips; rule coefficients arrive as fresh objects
         self._rules = {
             key: (_unit(lam), tuple((_unit(mu), word) for mu, word in corr))
             for key, (lam, corr) in rules.items()
@@ -515,12 +515,9 @@ def _reduce(pres, items, *, rng=None):
             raise _step_cap_error(pres, len(word), word[t : t + 2])
         lam, corr = pres._rules[word[t] + word[t + 1]]
         head, tail = word[:t], word[t + 2 :]
-        pending.append((
-            coeff if lam is ONE else coeff * lam,
-            head + (word[t + 1], word[t]) + tail,
-        ))
+        pending.append((coeff * lam, head + (word[t + 1], word[t]) + tail))
         for mu, u in corr:
-            pending.append((coeff if mu is ONE else coeff * mu, head + u + tail))
+            pending.append((coeff * mu, head + u + tail))
     return acc
 
 
@@ -620,13 +617,13 @@ class Element:
                             else tuple(_blocks(pres, ((m1, ONE),), m2)))
                     if not row:
                         continue
-                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                    c = c1 * c2
                     for mo, k in row:
-                        kk = k if c is ONE else c if k is ONE else c * k
+                        kk = c * k
                         c0 = acc.get(mo)
                         acc[mo] = kk if c0 is None else c0 + kk
                 elif m is not None:
-                    c = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                    c = c1 * c2
                     c0 = acc.get(m)
                     acc[m] = c if c0 is None else c0 + c
         return pres._element(acc)
@@ -654,7 +651,7 @@ class Element:
             ((g, e),), k = self.terms[0]
             if pres._parities[g]:
                 return pres._zero
-            c = k if k is ONE else _unit(k ** n)
+            c = _unit(k ** n)
             return Element(pres, ((((g, e * n),), c),))
         out = pres._one
         for _ in range(n):
@@ -739,7 +736,7 @@ def _swap_run(pres, t, g, e, mask):
     letter with the bits of mask and the odd letters of the rest of t, on
     both sides of h^f.  Returns (i, factor, pmask): g^e has passed t[i:] at
     factor, a scalar (a QRational once a rule's factor is no Laurent
-    monomial), or None where it is 1; pmask is None where g^e reached its
+    monomial), ONE where it is 1; pmask is None where g^e reached its
     place, and otherwise the odd mask under which the one-block pair
     t[i-1] * g^e is asked for, less the bits that no correction of its rule
     holds.
@@ -767,7 +764,7 @@ def _swap_run(pres, t, g, e, mask):
         i -= 1
     if c.__class__ is QRational:
         return i, c * _qmono(1, k) if k else c, pmask
-    return i, _qmono(c, k) if k or c != 1 else None, pmask
+    return i, _qmono(c, k) if k or c != 1 else ONE, pmask
 
 
 def _blocks(pres, rows, blocks, mask=0, fill=None):
@@ -791,15 +788,13 @@ def _blocks(pres, rows, blocks, mask=0, fill=None):
             i = len(t)
             if i and t[-1][0] > g:
                 i, f, pmask = _swap_run(pres, t, g, e, mask)
-                if f is not None:
-                    k = f if k is ONE else k * f
+                k = k * f
                 if pmask is not None:
                     p, s = t[:i - 1], t[i:]
                     for u, ku in _block_pair(pres, p, t[i - 1], blk, pmask,
                                              fill):
-                        kk = ku if k is ONE else k if ku is ONE else k * ku
-                        for mo, ko in _blocks(pres, ((p, kk),), u + s, mask,
-                                              fill):
+                        for mo, ko in _blocks(pres, ((p, k * ku),), u + s,
+                                              mask, fill):
                             c0 = nxt.get(mo)
                             nxt[mo] = ko if c0 is None else c0 + ko
                     continue
@@ -845,11 +840,10 @@ def _block_pair(pres, p, hf, blk, mask, fill):
     if fill is None:
         fill = [set(), 0]  # the open entries and the steps taken
     pair = ((h, s), x)
-    lc, lk, terms, _ = pres._swaps[h, s, g, x[1]]
-    lam = (lc if lc.__class__ is QRational
-           else ONE if lc == 1 and not lk else _qmono(lc, lk))
+    rule = pair[0] + pair[1]
+    lam = pres._rules[rule][0]
     # a correction word that shares an odd letter with mask is zero
-    terms = [(mu, u) for mu, u, mk in terms if not mask & mk]
+    terms = [(mu, u) for mu, u, mk in pres._swaps[rule][2] if not mask & mk]
     for j in range(n + 1, abs(f) + 1):
         k = (((h, j * s),), (x,)) + tail
         if k in fill[0]:
@@ -864,7 +858,7 @@ def _block_pair(pres, p, hf, blk, mask, fill):
             raise _step_cap_error(pres, length, pair)
         fill[0].add(k)
         r = ((h, (j - 1) * s),) if j > 1 else ()
-        parts = [([(mo, ko if lam is ONE else lam * ko) for mo, ko in rows],
+        parts = [([(mo, lam * ko) for mo, ko in rows],
                   (pair[0],))]
         parts += [(((r, mu),), u) for mu, u in terms]
         acc = {}

@@ -258,8 +258,7 @@ class _Parser:
                     "negative power of a non-invertible generator", pos
                 )
         del self.ops[start:]
-        step = self.leaf(tuple((g, -e) for g, e in reversed(w)),
-                         ONE if c == ONE else c.inv())
+        step = self.leaf(tuple((g, -e) for g, e in reversed(w)), c.inv())
         return self.emit("power", k, _power(step, k), pos)
 
 
@@ -306,12 +305,11 @@ def _known(f, x, y):
 
 
 def _join(s, t):
-    c = t[0] if s[0] is ONE else s[0] if t[0] is ONE else s[0] * t[0]
-    return c, s[1] + t[1]
+    return s[0] * t[0], s[1] + t[1]
 
 
 def _repeat(t, k):
-    return (t[0] if t[0] is ONE else t[0] ** k), t[1] * k
+    return t[0] ** k, t[1] * k
 
 
 def _run(program, term, ops):

@@ -23,6 +23,9 @@ a monic denominator is unique:
 * a sum over two different powers of q shifts the numerator over the
   smaller one up to the larger and adds, with no reduction;
 * a power raises the numerator and the denominator apart;
+* a product with the ``ONE`` object is the other operand, and ``ONE``'s
+  inverse and powers are ``ONE``: callers multiply plainly and never test
+  for the unit themselves;
 * :func:`qnum` builds its polynomial directly, and keeps the small ones in
   a bounded LRU cache.
 
@@ -568,6 +571,10 @@ class QRational:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
+        if self is ONE:
+            return other
+        if other is ONE:
+            return self
         a, b = self, other
         if len(b.num) == len(b.den) == 1:
             if len(a.num) == len(a.den) == 1:
@@ -600,6 +607,8 @@ class QRational:
 
     def inv(self):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        if self is ONE:
+            return ONE
         num = self.num
         if not num:
             raise ZeroDivisionError("inverse of zero in Q(q)")
@@ -627,7 +636,7 @@ class QRational:
             return NotImplemented
         if k < 0:
             return self.inv() ** (-k)
-        if not k:
+        if not k or self is ONE:
             return ONE
         if not self.num:
             return ZERO
@@ -680,6 +689,10 @@ class QRational:
 
     __repr__ = __str__
 
+    def __reduce__(self):
+        # copies and pickles of the unit are the ONE object itself
+        return "ONE" if self is ONE else (QRational, (self.num, self.den))
+
 
 def _qsum(an, ad, bn, bd):
     # an/ad + bn/bd, both reduced; a difference negates one numerator
@@ -720,6 +733,8 @@ def scalar(v):
     v = _coef(_exact(v))
     if not v:
         return ZERO
+    if v == 1:
+        return ONE
     return QRational(((0, v),), _PONE)
 
 

@@ -147,9 +147,10 @@ def test_inverse_letter_cross_rules_are_the_koszul_sign():
     assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
-def test_unit_coefficients_are_the_one_singleton():
-    # the engine skips multiplications by `is ONE`; a unit coefficient that
-    # is a fresh object (parsed, or from lam.inv()) makes it do them all
+def test_unit_coefficients_are_the_one_singleton(monkeypatch):
+    # QRational.__mul__ skips a product with the ONE object; a unit
+    # coefficient that is a fresh object (parsed, or from lam.inv()) makes
+    # every product with it do the work
     algebras = [build() for build in cli._BUILTIN_ALGEBRAS.values()]
     algebras.append(load_presentation(DUAL_TEXT, "copy"))
     # v*u = q^-1*u*v - q^-1 implies single-inverse rules whose correction
@@ -167,6 +168,18 @@ def test_unit_coefficients_are_the_one_singleton():
     # the rules implied inside Presentation.__init__ have unit coefficients too
     assert any(-1 in key[1::2] for _, key, _ in units)
     assert [(name, key) for name, key, c in units if c is not ONE] == []
+    # the rows a cold suite fills: a product with ONE hands back the other
+    # operand itself, so the units of the rules stay ONE through the table
+    from qdual.checks import run_suite
+    tables = (dual_algebra(), gl_algebra())
+    for pres in tables:
+        for cache in ("_pair_table", "_keys"):
+            monkeypatch.setattr(pres, cache, {})
+    run_suite(6)
+    for pres in tables:
+        units = [k for rows in pres._pair_table.values() for _, k in rows
+                 if k == ONE]
+        assert units and all(k is ONE for k in units), pres.name
 
 
 def test_derive_inverse_rules_is_idempotent():
@@ -234,9 +247,12 @@ def test_copies_and_pickles_are_the_interned_object():
             assert other is pres
     d = dual_algebra()
     b, c = parse_element("b", d), parse_element("c", d)
+    assert [k is ONE for _, k in (c * b).terms] == [True, False]
     for other in _round_trips(c * b):
         # elements equal the original and multiply with its algebra's
         assert other == c * b and other.pres is d
+        # and a unit coefficient is still the ONE object
+        assert [k is ONE for _, k in other.terms] == [True, False]
         assert other * b == c * b * b and b * other == b * c * b
     x = parse_element("v*u^-1", loaded)
     for other in _round_trips(x):
@@ -245,14 +261,15 @@ def test_copies_and_pickles_are_the_interned_object():
 
 def test_a_pickle_loads_in_a_fresh_process():
     # the intern rebuilds the presentation there, and a later built-in call
-    # returns the same object
+    # returns the same object; a unit coefficient loads as that process's ONE
     d = dual_algebra()
     data = pickle.dumps((d, parse_element("c*b", d)))
     code = (
         "import pickle, sys\n"
-        "from qdual import dual_algebra, parse_element\n"
+        "from qdual import ONE, dual_algebra, parse_element\n"
         "d, e = pickle.loads(sys.stdin.buffer.read())\n"
         "assert d is dual_algebra() and e == parse_element('c*b', d)\n"
+        "assert [k is ONE for _, k in e.terms] == [True, False]\n"
         "print(e)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))

@@ -1,5 +1,7 @@
 """Exact arithmetic in the field of rational functions of q."""
 
+import copy
+import pickle
 import random
 import time
 from decimal import Decimal
@@ -1178,3 +1180,39 @@ def test_only_exact_values_are_accepted():
             Q * bad
     assert scalar(Fraction(6, 3)).num == ((0, 2),)
     assert Q.eval_at(Fraction(1, 3)) == Fraction(1, 3)
+
+
+def test_products_with_the_unit_object_are_the_other_operand():
+    for x in (Q, ZERO, -ONE, scalar(Fraction(1, 2)), (Q + 2) / (Q - 3)):
+        assert ONE * x is x and x * ONE is x
+    # ints and Fractions are coerced first, so the product is a QRational
+    for got, want in ((ONE * 0, 0), (ONE * 2, 2), (2 * ONE, 2),
+                      (ONE * Fraction(1, 2), Fraction(1, 2))):
+        assert got.__class__ is QRational and got == want
+    assert ONE * 0 is ZERO
+    for bad in (lambda: ONE * "x", lambda: "x" * ONE, lambda: ONE * 1.5):
+        with pytest.raises(TypeError):
+            bad()
+    for k in (-3, 0, 5):
+        assert ONE ** k is ONE
+    assert ONE.inv() is ONE
+    d = dual_algebra()
+    e = parse_element("2*b*c - q*alpha + 1", d)
+    assert ONE * e == e and e * ONE == e
+
+
+def test_scalar_one_is_the_unit_object():
+    assert scalar(1) is ONE and scalar(Fraction(2, 2)) is ONE
+    d = dual_algebra()
+    for one in (parse_element("1", d), d.scalar(1)):
+        assert one == d.one() and one.terms[0][1] is ONE
+
+
+def test_copies_and_pickles_keep_the_unit_object():
+    for make in (copy.copy, copy.deepcopy,
+                 lambda x: pickle.loads(pickle.dumps(x))):
+        assert make(ONE) is ONE
+        # other values come back equal, with the same canonical tuples
+        for x in (ZERO, Q, scalar(Fraction(-3, 2)), (Q + 2) / (Q * Q - 3)):
+            y = make(x)
+            assert y == x and (y.num, y.den) == (x.num, x.den)
